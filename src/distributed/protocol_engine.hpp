@@ -45,6 +45,7 @@
 
 #include <array>
 #include <atomic>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -54,6 +55,7 @@
 #include "distributed/shm_transport.hpp"
 #include "distributed/socket_transport.hpp"
 #include "distributed/summary_wire.hpp"
+#include "distributed/worker_step.hpp"
 #include "graph/edge_source.hpp"
 #include "partition/partition.hpp"
 #include "partition/sharded_partition.hpp"
@@ -91,7 +93,7 @@ enum class EngineTransport {
             // loopback TCP (summary_wire.hpp / socket_transport.hpp)
   kShm,     // k forked worker processes exchanging the same frames through
             // shared-memory rings (shm_transport.hpp); persistent workers
-            // when a multi-round executor provides a pool
+            // when a multi-round executor provides a pool slot
 };
 
 /// Knobs of the streaming combine path.
@@ -104,22 +106,26 @@ struct StreamingOptions {
   /// WireSerializable summary type and ignore the thread pool — the worker
   /// processes ARE the parallelism.
   EngineTransport transport = EngineTransport::kInproc;
-  /// Socket-transport knobs (port, deadline, fault injection); unused for
-  /// kInproc.
+  /// Socket-transport knobs (port, deadline); unused unless
+  /// transport == kSocket.
   SocketTransportOptions socket;
-  /// Shm-transport knobs (ring capacity, deadline, fault injection); unused
-  /// unless transport == kShm.
+  /// Shm-transport knobs (ring capacity, deadline); unused unless
+  /// transport == kShm.
   ShmTransportOptions shm;
-  /// A live persistent worker pool for transport == kShm, or null. Set by
-  /// multi-round executors (run_mpc_rounds) that forked the pool INSIDE
-  /// round 0, right after the first partition: the engine ships round 0 an
-  /// rng-only control frame (the workers' copy-on-write snapshots already
-  /// hold their round-0 shards) and every later round its piece + forked
-  /// RNG stream DOWN the pool's rings instead of forking fresh workers. The
-  /// workers must be running the executor's round-loop body, which decodes
-  /// that protocol. Null means the engine forks ephemeral ring workers for
-  /// this one call (single-round drivers). Edge-typed pieces only.
-  ShmWorkerPool* shm_pool = nullptr;
+  /// Fault injection for the worker processes of either cross-process
+  /// transport; the defaults inject nothing.
+  FaultPlan faults;
+  /// A multi-round executor's pool slot for transport == kShm, or null.
+  /// Either way the engine runs the machine phase on one ShmWorkerPool
+  /// whose workers serve round 0 off their fork snapshot (pieces and rng
+  /// streams are inherited copy-on-write; nothing ships down):
+  ///   null         a pool for this call alone, shut down before it returns;
+  ///   empty slot   a pool spawned into the slot that outlives the call;
+  ///   filled slot  the slot's pool serves this round: each machine's piece
+  ///                and rng stream ship down its ring, no fork.
+  /// The slot's owner (run_mpc_rounds, for round-invariant builds) shuts
+  /// the pool down. Edge-typed pieces only.
+  std::unique_ptr<ShmWorkerPool>* shm_pool = nullptr;
 };
 
 /// What crossed a process boundary; all zeros for in-process runs.
@@ -127,12 +133,12 @@ struct TransportTelemetry {
   EngineTransport kind = EngineTransport::kInproc;
   std::uint64_t wire_bytes = 0;  // framed bytes received (headers + payloads)
   std::uint64_t frames = 0;      // summary frames received (== k on success)
-  /// Downlink bytes the coordinator shipped (piece-delivery frames of a
-  /// persistent shm pool); 0 for transports that inherit pieces via fork.
+  /// Downlink bytes the coordinator shipped (piece-delivery frames to a
+  /// persistent shm pool); 0 for a round whose pieces rode the fork.
   std::uint64_t piece_bytes = 0;
-  /// Worker processes forked FOR THIS CALL: k for socket and ephemeral shm
-  /// runs, 0 for a round served by a persistent pool (its forks happened at
-  /// spawn — the amortization the pool exists to provide).
+  /// Worker processes forked FOR THIS CALL: k for socket runs and for the
+  /// call that spawns a shm pool, 0 for a round served by a pool spawned
+  /// earlier (the amortization the pool exists to provide).
   std::uint64_t forks = 0;
 };
 
@@ -221,12 +227,19 @@ auto run_protocol_streaming_on_pieces(
   // (pre-grown here — the set must not grow concurrently), so repeated
   // rounds reuse one warmed working set per machine slot.
   if (workspace != nullptr) workspace->ensure_machines(k);
-  const auto machine_work = [&](std::size_t i) {
+  // Machine i's build on any view of its piece: the arena shard (in process,
+  // and in a forked worker, which inherits shard and stream copy-on-write)
+  // or a piece a persistent shm worker received down its ring.
+  const auto build_machine = [&](std::size_t i, View piece, Rng& machine_rng) {
     const PartitionContext ctx{
-        num_vertices, k, i, left_size,
+        piece.num_vertices(), k, i, left_size,
         workspace != nullptr ? &workspace->machine(i) : nullptr};
-    const View piece(pieces[i].data(), pieces[i].size(), num_vertices);
-    result.summaries[i] = build(piece, ctx, machine_rngs[i]);
+    return build(piece, ctx, machine_rng);
+  };
+  const auto build_shard = [&](std::size_t i) {
+    return build_machine(
+        i, View(pieces[i].data(), pieces[i].size(), num_vertices),
+        machine_rngs[i]);
   };
 
   // A summary's word-exact cost is recorded the moment it is handed to the
@@ -249,7 +262,7 @@ auto run_protocol_streaming_on_pieces(
   // transport in arrival order — the exact role CompletionQueue::pop plays
   // in-process — decode, and absorb through the same CanonicalReorder, so
   // folds, accounting, and RNG draws carry over unchanged. (A generic
-  // lambda, called only from the WireSerializable branches below; `frame`
+  // lambda, called only from the WireSerializable branch below; `frame`
   // stays type-dependent on the lambda parameter so the decode call is not
   // checked for non-serializable summaries.)
   const auto collect_frames = [&](auto&& next_frame) {
@@ -275,122 +288,100 @@ auto run_protocol_streaming_on_pieces(
       RCC_CHECK(reorder.drained());
     }
   };
-  if (opts.transport == EngineTransport::kSocket) {
-    // Cross-process machine phase: fork k workers, each builds its summary
-    // on its copy-on-write inherited piece (with the rng stream forked for
-    // it ABOVE, in the parent — so the coordinator rng's position is
-    // identical to the in-process paths), frames it per summary_wire.hpp,
-    // and streams it to this process over loopback. The thread pool is
-    // ignored: workers are the parallelism.
+  if (opts.transport != EngineTransport::kInproc) {
+    // Cross-process machine phase: k worker processes, each forked AFTER
+    // the rng streams above (so the coordinator rng's position is identical
+    // to the in-process paths) and each running worker_step — fault check,
+    // build on its copy-on-write inherited shard, encode, write. The thread
+    // pool is ignored: workers are the parallelism.
     if constexpr (WireSerializable<Summary>) {
-      const SocketTransportOptions& sock = opts.socket;
-      LoopbackListener listener(sock.leader_port);
-      const std::uint16_t port = listener.port();
-      const auto worker_body = [&](std::size_t i) {
-        if (static_cast<long>(i) == sock.fault_kill_machine) {
-          worker_exit_silently();
+      RCC_CHECK((opts.faults.kill_round == 0 ||
+                 (opts.transport == EngineTransport::kShm && opts.shm_pool)) &&
+                "FaultPlan::kill_round > 0 needs a persistent shm pool");
+      result.transport.kind = opts.transport;
+      result.transport.frames = k;
+      if (opts.transport == EngineTransport::kSocket) {
+        // Loopback sockets: fresh workers per call, one connection each.
+        LoopbackListener listener(opts.socket.leader_port);
+        const std::uint16_t port = listener.port();
+        const std::vector<pid_t> workers = spawn_workers(k, [&](std::size_t i) {
+          worker_step(
+              opts.faults, i, 0, [&] { return build_shard(i); },
+              [&](const std::uint8_t* head, std::size_t head_bytes,
+                  const std::uint8_t* body, std::size_t body_bytes) {
+                const int fd = connect_to_leader(port, opts.socket.timeout_ms);
+                send_all(fd, head, head_bytes);
+                if (body_bytes > 0) send_all(fd, body, body_bytes);
+              });
+        });
+        {
+          FrameCollector collector(listener, k, opts.socket.timeout_ms);
+          collect_frames([&] { return collector.next_ready(); });
+          result.transport.wire_bytes = collector.wire_bytes();
+          result.transport.forks = k;
         }
-        machine_work(i);  // fills the CHILD's copy of summaries[i]
-        const std::vector<std::uint8_t> frame =
-            encode_frame(result.summaries[i], static_cast<std::uint32_t>(i));
-        const int fd = connect_to_leader(port, sock.timeout_ms);
-        if (static_cast<long>(i) == sock.fault_partial_frame_machine) {
-          send_partial_frame_and_die(fd, frame.data(), frame.size());
+        reap_workers(workers);
+      } else {
+        // Shm rings: one pool, spawned here when this call has none — for
+        // this call alone (no slot) or into an executor's slot, where it
+        // outlives the call and serves the later rounds. A spawned pool's
+        // round 0 rides the fork; a pool from an earlier round gets this
+        // round's piece and rng stream down its rings: a stack-built prefix
+        // plus the shard bytes streamed straight from the partition, never
+        // a frame-sized staging vector.
+        RCC_CHECK((std::is_same_v<EdgeT, Edge> || opts.shm_pool == nullptr) &&
+                  "persistent shm pools take edge-typed pieces only");
+        std::unique_ptr<ShmWorkerPool> call_pool;
+        std::unique_ptr<ShmWorkerPool>& slot =
+            opts.shm_pool != nullptr ? *opts.shm_pool : call_pool;
+        const bool spawned = slot == nullptr;
+        if (spawned) {
+          slot = std::make_unique<ShmWorkerPool>(k, opts.shm);
+          slot->spawn([&](std::size_t i, ShmWorkerEndpoint& endpoint) {
+            serve_shm_worker(
+                endpoint, opts.faults, [&](const PieceDeliveryView* piece) {
+                  if constexpr (std::is_same_v<EdgeT, Edge>) {
+                    if (piece != nullptr) {
+                      Rng piece_rng = Rng::from_state(piece->rng_state);
+                      return build_machine(
+                          i,
+                          EdgeSpan(piece->edges, piece->num_edges,
+                                   piece->num_vertices),
+                          piece_rng);
+                    }
+                  }
+                  return build_shard(i);
+                });
+          });
         }
-        send_all(fd, frame.data(), frame.size());
-      };
-      const std::vector<pid_t> workers = spawn_workers(k, worker_body);
-      {
-        FrameCollector collector(listener, k, sock.timeout_ms);
-        collect_frames([&] { return collector.next_ready(); });
-        result.transport.kind = EngineTransport::kSocket;
-        result.transport.wire_bytes = collector.wire_bytes();
-        result.transport.frames = collector.frames_delivered();
-        result.transport.forks = k;
-      }
-      reap_workers(workers);
-    } else {
-      RCC_CHECK(
-          !"engine transport 'socket' requires a wire-serializable summary");
-    }
-  } else if (opts.transport == EngineTransport::kShm) {
-    if constexpr (WireSerializable<Summary>) {
-      bool served_by_pool = false;
-      if constexpr (std::is_same_v<EdgeT, Edge>) {
-        if (opts.shm_pool != nullptr) {
-          // Persistent pool (multi-round executors): the workers forked
-          // ONCE, inside round 0 right after the first partition, and are
-          // idling in their round loop. Round 0's pieces therefore rode the
-          // fork itself (copy-on-write, the socket transport's free piece
-          // story) and its frames carry only the rng stream forked for each
-          // machine ABOVE (so the coordinator rng's position is identical
-          // to every other path); later rounds repartition after the fork,
-          // so their frames ship the actual piece. Collect the summary
-          // frames back off the rings either way.
-          served_by_pool = true;
-          ShmWorkerPool& worker_pool = *opts.shm_pool;
-          RCC_CHECK(worker_pool.machines() == k);
-          const std::uint64_t wire_before = worker_pool.wire_bytes();
-          const std::uint64_t piece_before = worker_pool.piece_bytes();
-          worker_pool.begin_round();
-          const bool piece_rode_the_fork = worker_pool.round() == 0;
-          for (std::size_t i = 0; i < k; ++i) {
-            // Stack-built prefix + the shard bytes streamed straight from
-            // the partition: the downlink never stages a frame-sized
-            // scratch vector (megabytes per machine per round on dense
-            // multi-round runs).
+        ShmWorkerPool& worker_pool = *slot;
+        RCC_CHECK(worker_pool.machines() == k);
+        const std::uint64_t wire_before = worker_pool.wire_bytes();
+        const std::uint64_t piece_before = worker_pool.piece_bytes();
+        worker_pool.begin_round();
+        if constexpr (std::is_same_v<EdgeT, Edge>) {
+          for (std::size_t i = 0; !spawned && i < k; ++i) {
             std::array<std::uint8_t, kPieceFramePrefixBytes> prefix;
-            const std::size_t body_edges =
-                piece_rode_the_fork ? 0 : pieces[i].size();
             encode_piece_frame_prefix(
-                body_edges, num_vertices, machine_rngs[i].state(),
+                pieces[i].size(), num_vertices, machine_rngs[i].state(),
                 worker_pool.round(), static_cast<std::uint32_t>(i),
                 prefix.data());
             worker_pool.send_frame(
                 i, prefix.data(), prefix.size(),
                 reinterpret_cast<const std::uint8_t*>(pieces[i].data()),
-                body_edges * sizeof(Edge));
+                pieces[i].size() * sizeof(Edge));
           }
-          collect_frames([&] { return worker_pool.next_ready(); });
-          result.transport.kind = EngineTransport::kShm;
-          result.transport.wire_bytes = worker_pool.wire_bytes() - wire_before;
-          result.transport.frames = k;
-          result.transport.piece_bytes =
-              worker_pool.piece_bytes() - piece_before;
-          result.transport.forks = 0;  // forked at spawn, not per round
         }
-      }
-      if (!served_by_pool) {
-        // Ephemeral ring workers: fork k processes for this one call, each
-        // building on its copy-on-write inherited piece (socket-path
-        // discipline) and writing its frame through its uplink ring.
-        const ShmTransportOptions& shm = opts.shm;
-        ShmWorkerPool worker_pool(k, shm);
-        worker_pool.spawn([&](std::size_t i, ShmWorkerEndpoint& endpoint) {
-          if (static_cast<long>(i) == shm.fault_kill_machine) {
-            worker_exit_silently();
-          }
-          machine_work(i);  // fills the CHILD's copy of summaries[i]
-          const std::vector<std::uint8_t> frame =
-              encode_frame(result.summaries[i], static_cast<std::uint32_t>(i));
-          if (static_cast<long>(i) == shm.fault_partial_frame_machine) {
-            endpoint.write_raw(frame.data(),
-                               kFrameHeaderBytes +
-                                   (frame.size() - kFrameHeaderBytes) / 2);
-            worker_exit_silently();
-          }
-          endpoint.write_frame(frame.data(), frame.size());
-        });
         collect_frames([&] { return worker_pool.next_ready(); });
-        result.transport.kind = EngineTransport::kShm;
-        result.transport.wire_bytes = worker_pool.wire_bytes();
-        result.transport.frames = worker_pool.frames_delivered();
-        result.transport.forks = worker_pool.forks();
-        worker_pool.reap();
+        result.transport.wire_bytes = worker_pool.wire_bytes() - wire_before;
+        result.transport.piece_bytes =
+            worker_pool.piece_bytes() - piece_before;
+        result.transport.forks = spawned ? k : 0;
+        if (call_pool != nullptr) call_pool->shutdown_and_reap();
       }
     } else {
-      RCC_CHECK(
-          !"engine transport 'shm' requires a wire-serializable summary");
+      RCC_CHECK(!"cross-process engine transports require a "
+                 "wire-serializable summary");
     }
   } else if (pool == nullptr || pool->size() == 1 || k == 1) {
     // Sequential: build and absorb alternate machine by machine, so arrival
@@ -400,7 +391,7 @@ auto run_protocol_streaming_on_pieces(
     // (one futex wake per machine while the coordinator blocks on the
     // completion queue) is pure overhead on top of the same schedule.
     for (std::size_t i = 0; i < k; ++i) {
-      machine_work(i);
+      result.summaries[i] = build_shard(i);
       deliver(i);
       if (i + 1 < k) ++result.streaming.absorbed_while_machines_ran;
     }
@@ -409,7 +400,7 @@ auto run_protocol_streaming_on_pieces(
     std::atomic<std::size_t> building{k};
     for (std::size_t i = 0; i < k; ++i) {
       pool->submit([&, i] {
-        machine_work(i);
+        result.summaries[i] = build_shard(i);
         building.fetch_sub(1, std::memory_order_release);
         queue.push(i);
       });

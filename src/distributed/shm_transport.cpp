@@ -31,10 +31,6 @@ void shm_fail(const char* fmt, ...) {
   std::abort();
 }
 
-void worker_sleep_forever() {
-  for (;;) ::pause();
-}
-
 namespace {
 
 std::int64_t monotonic_ms() {
@@ -287,11 +283,6 @@ void ShmWorkerEndpoint::write_raw(const std::uint8_t* bytes,
   }
 }
 
-void ShmWorkerEndpoint::write_frame(const std::uint8_t* frame,
-                                    std::size_t size) {
-  write_raw(frame, size);
-}
-
 void ShmWorkerEndpoint::write_frame(const std::uint8_t* prefix,
                                     std::size_t prefix_bytes,
                                     const std::uint8_t* body,
@@ -342,7 +333,6 @@ void ShmWorkerPool::spawn_impl(WorkerFn fn, void* ctx) {
     pids_.push_back(pid);
     alive_[m] = 1;
   }
-  forks_ += machines();
 }
 
 void ShmWorkerPool::begin_round() {
@@ -360,7 +350,7 @@ void ShmWorkerPool::begin_round() {
   }
 }
 
-void ShmWorkerPool::send_frame(std::size_t machine, const std::uint8_t* frame,
+void ShmWorkerPool::send_bytes(std::size_t machine, const std::uint8_t* frame,
                                std::size_t size) {
   RCC_CHECK(machine < machines());
   const Ring ring = segment_.downlink(machine);
@@ -402,8 +392,8 @@ void ShmWorkerPool::send_frame(std::size_t machine, const std::uint8_t* prefix,
                                std::size_t prefix_bytes,
                                const std::uint8_t* body,
                                std::size_t body_bytes) {
-  send_frame(machine, prefix, prefix_bytes);
-  if (body_bytes > 0) send_frame(machine, body, body_bytes);
+  send_bytes(machine, prefix, prefix_bytes);
+  if (body_bytes > 0) send_bytes(machine, body, body_bytes);
 }
 
 bool ShmWorkerPool::drain_one(std::size_t machine) {
@@ -476,8 +466,8 @@ void ShmWorkerPool::check_for_dead_workers() {
     const pid_t r = ::waitpid(pids_[m], &status, WNOHANG);
     if (r != pids_[m]) continue;
     alive_[m] = 0;
-    // The worker may have exited AFTER publishing its complete frame (the
-    // ephemeral pattern); drain once more before declaring it dead.
+    // The worker may have exited AFTER publishing its complete frame; drain
+    // once more before declaring it dead.
     drain_one(m);
     if (completed_[m] != 0) continue;
     const Assembly& assembly = assembly_[m];
@@ -514,7 +504,6 @@ ReadyFrame ShmWorkerPool::next_ready() {
       ReadyFrame frame = std::move(ready_.front());
       ready_.pop_front();
       ++delivered_this_round_;
-      ++delivered_total_;
       return frame;
     }
     // Snapshot the doorbell BEFORE draining: a worker bumps it after every
@@ -538,7 +527,7 @@ void ShmWorkerPool::shutdown_and_reap() {
     if (alive_[m] == 0) continue;
     const std::vector<std::uint8_t> frame =
         encode_shutdown_frame(static_cast<std::uint32_t>(m));
-    send_frame(m, frame.data(), frame.size());
+    send_bytes(m, frame.data(), frame.size());
   }
   const std::int64_t deadline = monotonic_ms() + options_.timeout_ms;
   std::size_t live = 0;
@@ -588,35 +577,6 @@ void ShmWorkerPool::shutdown_and_reap() {
       const timespec backoff{0, backoff_ns};
       ::nanosleep(&backoff, nullptr);
       backoff_ns = std::min(backoff_ns * 2, 2000000L);  // cap at 2 ms
-    }
-  }
-}
-
-void ShmWorkerPool::reap(bool require_clean) {
-  for (std::size_t m = 0; m < machines(); ++m) {
-    if (alive_[m] == 0) continue;
-    int status = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(pids_[m], &status, 0);
-    } while (r < 0 && errno == EINTR);
-    if (r < 0) shm_fail("waitpid(machine %zu): %s", m, strerror(errno));
-    alive_[m] = 0;
-    const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (!clean) {
-      if (WIFEXITED(status)) {
-        std::fprintf(stderr,
-                     "shm transport: machine %zu worker exited with "
-                     "status %d\n",
-                     m, WEXITSTATUS(status));
-      } else if (WIFSIGNALED(status)) {
-        std::fprintf(stderr,
-                     "shm transport: machine %zu worker died on signal %d\n",
-                     m, WTERMSIG(status));
-      }
-      if (require_clean) {
-        shm_fail("machine %zu worker did not exit cleanly", m);
-      }
     }
   }
 }

@@ -11,11 +11,12 @@
 //     kernel buffering, no per-frame file descriptors;
 //   * the rings are bidirectional (an uplink and a downlink pair per
 //     machine), which is what makes workers *persistent*: the coordinator
-//     forks k workers once — after the round-0 partition, so the first
-//     round's shards ride the fork as copy-on-write pages and its
-//     kPieceDelivery frame carries only the machine RNG stream — then ships
-//     every later round's piece DOWN through the ring and reads the summary
-//     frame back UP. The multi-round executor stops re-forking every round.
+//     forks k workers once — after partitioning round 0 and forking its
+//     machine RNG streams, so the first round's shard and stream ride the
+//     fork as copy-on-write pages and round 0 ships nothing down — then
+//     ships every later round's piece DOWN through the ring and reads the
+//     summary frame back UP. The multi-round executor stops re-forking
+//     every round; a single engine call is the same pool serving one round.
 //
 // Frames are byte-identical to the socket transport's (summary_wire.hpp):
 // all ten driver codecs, the validation funnel, and the seed-for-seed
@@ -38,7 +39,8 @@
 // MACHINE ID (waitpid(WNOHANG) on the stalled machines, then a re-drain so
 // a worker that exited after completing its frame is never misreported).
 // Workers detect coordinator death via parent-pid checks between rounds and
-// bounded waits mid-frame. Fault-injection knobs pin every failure path.
+// bounded waits mid-frame. FaultPlan knobs (worker_step.hpp) pin every
+// failure path.
 #pragma once
 
 #include <sys/types.h>
@@ -50,8 +52,8 @@
 #include <deque>
 #include <vector>
 
-#include "distributed/socket_transport.hpp"
 #include "distributed/summary_wire.hpp"
+#include "distributed/worker_step.hpp"
 
 namespace rcc {
 
@@ -67,33 +69,11 @@ struct ShmTransportOptions {
   /// shutdown reaping) and for worker-side mid-frame waits. A worker silent
   /// for this long is declared dead and the run aborts with its machine id.
   int timeout_ms = 10000;
-
-  /// Fault injection: this machine's worker exits silently instead of
-  /// producing its summary; -1 disables. For a persistent pool the worker
-  /// dies at the START of round `fault_kill_round` (after reading the
-  /// piece), so the mid-run death of a long-lived worker is testable.
-  int fault_kill_machine = -1;
-  int fault_kill_round = 0;
-
-  /// Fault injection: this machine's worker writes its frame header plus
-  /// half the payload into the ring, then dies (torn-frame test); -1
-  /// disables.
-  int fault_partial_frame_machine = -1;
-
-  /// Fault injection: this machine's worker ignores the shutdown frame and
-  /// sleeps instead of exiting — shutdown_and_reap must SIGKILL it after
-  /// the bounded timeout and name it; -1 disables.
-  int fault_ignore_shutdown_machine = -1;
 };
 
 /// Prints "shm transport: <formatted message>" to stderr and aborts — the
 /// transport_fail of the ring path.
 [[noreturn]] void shm_fail(const char* fmt, ...);
-
-/// Fault injection: sleeps until killed. Used by worker bodies when
-/// fault_ignore_shutdown_machine names them — the coordinator's bounded
-/// reap must SIGKILL and diagnose the unresponsive worker.
-[[noreturn]] void worker_sleep_forever();
 
 namespace shm_detail {
 
@@ -161,8 +141,8 @@ class ShmSegment {
 };
 
 /// Worker-side handle over one machine's ring pair. Lives only in the
-/// child; reads control/piece frames off the downlink and writes summary
-/// frames to the uplink.
+/// child; reads piece and shutdown frames off the downlink and writes
+/// summary frames to the uplink.
 class ShmWorkerEndpoint {
  public:
   ShmWorkerEndpoint(const ShmSegment& segment, std::size_t machine,
@@ -175,24 +155,18 @@ class ShmWorkerEndpoint {
   /// within timeout_ms or the worker shm_fails.
   ReadyFrame read_frame();
 
-  /// Writes one complete frame to the uplink, chunked through the ring and
-  /// bounded by timeout_ms per chunk of progress.
-  void write_frame(const std::uint8_t* frame, std::size_t size);
-
-  /// Two-part frame write, the uplink mirror of the pool's: `prefix`
-  /// (header + fixed payload head) then `body` (raw edge bytes) back to
-  /// back — one contiguous frame on the wire, no frame-sized staging
-  /// vector in the worker.
+  /// Writes `prefix` (header + fixed payload head) then `body` (raw edge
+  /// bytes, may be empty) to the uplink back to back — one contiguous frame
+  /// on the wire, no frame-sized staging vector in the worker — chunked
+  /// through the ring and bounded by timeout_ms per chunk of progress.
   void write_frame(const std::uint8_t* prefix, std::size_t prefix_bytes,
                    const std::uint8_t* body, std::size_t body_bytes);
-
-  /// Fault injection: writes raw bytes (e.g. a torn frame prefix) without
-  /// any framing discipline.
-  void write_raw(const std::uint8_t* bytes, std::size_t size);
 
   std::size_t machine() const { return machine_; }
 
  private:
+  void write_raw(const std::uint8_t* bytes, std::size_t size);
+
   shm_detail::Ring uplink_;
   shm_detail::Ring downlink_;
   std::atomic<std::uint32_t>* doorbell_;
@@ -202,16 +176,17 @@ class ShmWorkerEndpoint {
 };
 
 /// Coordinator-side pool of k forked ring workers. One fork per machine per
-/// POOL (not per round): spawn() once, then any number of
-/// { begin_round(); send_frame()*; next_ready() x k; } cycles, then
-/// shutdown_and_reap(). Ephemeral single-round use skips the downlink:
-/// spawn() workers that compute and write immediately, collect with
-/// next_ready(), then reap().
+/// POOL (not per round): spawn() once, then one
+/// { begin_round(); send_frame()*; next_ready() x k; } cycle per round,
+/// then shutdown_and_reap(). The engine's workers run serve_shm_worker, so
+/// round 0 sends no frames down (its pieces rode the fork) and every later
+/// round sends one piece frame per machine. A single engine call is a pool
+/// serving one round.
 class ShmWorkerPool {
  public:
   ShmWorkerPool(std::size_t machines, const ShmTransportOptions& options);
   /// SIGKILLs and reaps any worker still alive (abandoned pool — normal
-  /// exits go through shutdown_and_reap / reap).
+  /// exits go through shutdown_and_reap).
   ~ShmWorkerPool();
 
   ShmWorkerPool(const ShmWorkerPool&) = delete;
@@ -229,22 +204,14 @@ class ShmWorkerPool {
   }
 
   /// Starts a collection round: the next `machines()` next_ready() calls
-  /// belong to it. (spawn() opens round 0 implicitly; ephemeral users never
-  /// call this.)
+  /// belong to it. Every round, round 0 included, begins with this call.
   void begin_round();
 
-  /// Writes one complete frame down machine's downlink, chunked; bounded by
-  /// timeout_ms per chunk of progress, and a worker that died mid-delivery
-  /// is named.
-  void send_frame(std::size_t machine, const std::uint8_t* frame,
-                  std::size_t size);
-
-  /// Two-part frame write: `prefix` (header + fixed payload prefix) followed
-  /// by `body` (raw edge bytes), back to back on the same downlink. The
-  /// worker sees one contiguous frame — SPSC ring writes are a byte stream —
-  /// but the sender skips staging the body into a frame-sized scratch
-  /// vector, which on dense multi-round runs is a fresh megabyte-scale
-  /// allocation per machine per round.
+  /// Writes one frame down machine's downlink: `prefix` (header + fixed
+  /// payload prefix) then `body` (raw edge bytes, may be empty) back to
+  /// back, so no frame-sized staging vector is ever built. Chunked, bounded
+  /// by timeout_ms per chunk of progress; a worker that died mid-delivery is
+  /// named.
   void send_frame(std::size_t machine, const std::uint8_t* prefix,
                   std::size_t prefix_bytes, const std::uint8_t* body,
                   std::size_t body_bytes);
@@ -256,25 +223,18 @@ class ShmWorkerPool {
   /// with the offending/missing machine ids.
   ReadyFrame next_ready();
 
-  /// Persistent-pool exit handshake: sends every live worker a shutdown
-  /// frame, then reaps each within the bounded timeout; a worker that
-  /// ignores the handshake is SIGKILLed and named.
+  /// Exit handshake: sends every live worker a shutdown frame, then reaps
+  /// each within the bounded timeout; a worker that ignores the handshake
+  /// is SIGKILLed and named.
   void shutdown_and_reap();
-
-  /// Ephemeral reap: workers exit on their own after writing their single
-  /// frame; mirrors reap_workers' clean-exit reporting.
-  void reap(bool require_clean = true);
 
   std::size_t machines() const { return segment_.machines(); }
   std::uint32_t round() const { return round_; }
   /// Uplink framed bytes received (headers + payloads): the measured wire
   /// cost of the machine phases, cumulative over rounds.
   std::uint64_t wire_bytes() const { return wire_bytes_; }
-  /// Downlink bytes shipped (piece + control frames), cumulative.
+  /// Downlink bytes shipped (piece + shutdown frames), cumulative.
   std::uint64_t piece_bytes() const { return piece_bytes_; }
-  std::uint64_t frames_delivered() const { return delivered_total_; }
-  /// Processes forked over the pool's lifetime (== machines() — the point).
-  std::uint64_t forks() const { return forks_; }
 
  private:
   /// Per-machine uplink frame reassembly state. The header lands in a fixed
@@ -293,6 +253,8 @@ class ShmWorkerPool {
   using WorkerFn = void (*)(void* ctx, std::size_t machine,
                             ShmWorkerEndpoint& endpoint);
   void spawn_impl(WorkerFn fn, void* ctx);
+  void send_bytes(std::size_t machine, const std::uint8_t* bytes,
+                  std::size_t size);
   /// Drains every uplink ring into its assembly buffer; completed frames
   /// move to ready_. Returns true when any byte arrived.
   bool drain_uplinks();
@@ -312,10 +274,49 @@ class ShmWorkerPool {
   std::uint32_t round_ = 0;
   std::uint64_t rounds_begun_ = 0;
   std::size_t delivered_this_round_ = 0;
-  std::uint64_t delivered_total_ = 0;
   std::uint64_t wire_bytes_ = 0;
   std::uint64_t piece_bytes_ = 0;
-  std::uint64_t forks_ = 0;
 };
+
+/// The body of every shm worker process, single-call and persistent pools
+/// alike:
+///
+///   round 0   build(nullptr): the pool was spawned after the coordinator
+///             partitioned the round and forked the machine RNG streams, so
+///             the worker's fork snapshot already holds its piece and its
+///             stream — nothing travels down the ring,
+///   round r   build(&piece) on the kPieceDelivery frame the coordinator
+///             shipped (a borrowing view into the frame payload, no copy),
+///   shutdown  return; the pool's child then exits 0.
+///
+/// Every round's summary goes up through worker_step under `faults`.
+template <typename Build>
+void serve_shm_worker(ShmWorkerEndpoint& endpoint, const FaultPlan& faults,
+                      const Build& build) {
+  const std::size_t machine = endpoint.machine();
+  const auto write = [&endpoint](const std::uint8_t* head,
+                                 std::size_t head_bytes,
+                                 const std::uint8_t* body,
+                                 std::size_t body_bytes) {
+    endpoint.write_frame(head, head_bytes, body, body_bytes);
+  };
+  worker_step(faults, machine, 0, [&] { return build(nullptr); }, write);
+  for (std::uint32_t round = 1;; ++round) {
+    const ReadyFrame frame = endpoint.read_frame();
+    if (frame.header.shape == SummaryShape::kShutdown) {
+      if (static_cast<long>(machine) == faults.ignore_shutdown_machine) {
+        worker_sleep_forever();
+      }
+      return;
+    }
+    const PieceDeliveryView piece =
+        decode_piece_frame_view(frame.header, frame.payload.data());
+    if (piece.round != round) {
+      shm_fail("machine %zu expected a round-%u piece, got round %u", machine,
+               round, piece.round);
+    }
+    worker_step(faults, machine, round, [&] { return build(&piece); }, write);
+  }
+}
 
 }  // namespace rcc

@@ -114,17 +114,6 @@ void send_all(int fd, const void* data, std::size_t size) {
   }
 }
 
-void worker_exit_silently() { ::_exit(3); }
-
-void send_partial_frame_and_die(int fd, const std::uint8_t* frame,
-                                std::size_t size) {
-  // Half the payload, all of the header: the coordinator learns WHICH
-  // machine tore its frame before the connection dies.
-  const std::size_t payload = size - kFrameHeaderBytes;
-  send_all(fd, frame, kFrameHeaderBytes + payload / 2);
-  ::_exit(3);
-}
-
 FrameCollector::FrameCollector(const LoopbackListener& listener,
                                std::size_t expected, int timeout_ms)
     : listener_fd_(listener.fd()),

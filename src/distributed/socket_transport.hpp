@@ -20,8 +20,8 @@
 // while) sending its frame surfaces as a transport_fail diagnostic naming
 // the missing machine id within timeout_ms, never a hang.
 //
-// Fault-injection knobs (fault_kill_machine / fault_partial_frame_machine)
-// exist so tests can pin the failure paths; production runs leave them -1.
+// The worker side both cross-process transports share (FaultPlan and
+// worker_step) lives in worker_step.hpp.
 #pragma once
 
 #include <sys/types.h>
@@ -45,14 +45,6 @@ struct SocketTransportOptions {
   /// for worker-side connects. A worker silent for this long is declared
   /// dead and the run aborts with its machine id.
   int timeout_ms = 10000;
-
-  /// Fault injection: this machine's worker exits before connecting (the
-  /// "killed mid-round" test); -1 disables.
-  int fault_kill_machine = -1;
-
-  /// Fault injection: this machine's worker sends its header plus half the
-  /// payload, then dies (the torn-frame test); -1 disables.
-  int fault_partial_frame_machine = -1;
 };
 
 /// Prints "socket transport: <formatted message>" to stderr and aborts.
@@ -87,22 +79,6 @@ int connect_to_leader(std::uint16_t port, int timeout_ms);
 /// Writes the whole buffer to a blocking socket; transport_fail on error.
 void send_all(int fd, const void* data, std::size_t size);
 
-/// Fault-injection exits for worker bodies, used by the engine when the
-/// corresponding SocketTransportOptions knob names the worker's machine.
-/// Dies without ever connecting (the "worker killed mid-round" scenario —
-/// the coordinator's deadline must surface the machine id).
-[[noreturn]] void worker_exit_silently();
-/// Sends the header plus half the payload of a complete frame, then dies
-/// (the torn-frame scenario — the coordinator must reject the EOF).
-[[noreturn]] void send_partial_frame_and_die(int fd, const std::uint8_t* frame,
-                                             std::size_t size);
-
-/// One fully reassembled summary frame.
-struct ReadyFrame {
-  FrameHeader header;
-  std::vector<std::uint8_t> payload;
-};
-
 /// Coordinator side: accepts up to `expected` connections on the listener
 /// and reassembles their frames. next_ready() blocks (bounded by
 /// timeout_ms) until SOME machine's frame is complete and returns it —
@@ -125,7 +101,6 @@ class FrameCollector {
   /// Total framed bytes received so far (headers + payloads): the measured
   /// on-the-wire cost of the machine phase.
   std::uint64_t wire_bytes() const { return wire_bytes_; }
-  std::uint64_t frames_delivered() const { return delivered_; }
 
  private:
   struct Connection {

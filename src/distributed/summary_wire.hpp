@@ -274,6 +274,12 @@ void encode_frame_header(const FrameHeader& header, std::uint8_t* out);
 /// shape tag range, and the payload cap all wire_fail on violation.
 FrameHeader decode_frame_header(const std::uint8_t* bytes);
 
+/// One fully reassembled frame, as a transport hands it over.
+struct ReadyFrame {
+  FrameHeader header;
+  std::vector<std::uint8_t> payload;
+};
+
 /// Zero-copy view of a received kPieceDelivery payload: `edges` points INTO
 /// the frame payload (the wire's (u32 u, u32 v) records are Edge's memory
 /// layout, asserted in the codec), so a persistent worker reads its piece

@@ -16,7 +16,12 @@ namespace rcc {
 void write_edge_list(const EdgeList& edges, const std::string& path);
 
 /// Reads an edge list written by write_edge_list (or hand-authored in the
-/// same format); aborts with a diagnostic on malformed input.
+/// same format). Malformed input aborts with an "edge list io:" diagnostic
+/// naming the file, the line and the problem: a missing or unparseable
+/// header, a vertex count beyond 32-bit ids, a row without two ids, an
+/// id >= n, a self-loop, fewer rows than the header claims, or data rows
+/// beyond them. Checked once per row here, so
+/// EdgeList::add keeps its debug-only check.
 EdgeList read_edge_list(const std::string& path);
 
 }  // namespace rcc

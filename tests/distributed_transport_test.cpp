@@ -29,6 +29,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "coreset/matching_coresets.hpp"
@@ -357,13 +358,18 @@ void expect_same_rounds(const MpcExecutionStats& barrier,
 /// the same seed: the pool forked its k workers ONCE no matter how many
 /// engine rounds ran, the socket path paid k per round, and both pushed the
 /// same summary bytes up their pipes. Piece deliveries only exist on the
-/// shm downlink.
+/// shm downlink, and only for rounds after the first: round 0 rides the
+/// pool's fork.
 void expect_persistent_pool(const MpcExecutionStats& shm,
                             const MpcExecutionStats& socket, std::size_t k) {
   EXPECT_EQ(shm.worker_forks, k);
   EXPECT_EQ(socket.worker_forks, k * socket.engine_rounds);
   EXPECT_EQ(shm.transport_wire_bytes, socket.transport_wire_bytes);
-  EXPECT_GT(shm.transport_piece_bytes, 0u);
+  if (shm.engine_rounds > 1) {
+    EXPECT_GT(shm.transport_piece_bytes, 0u);
+  } else {
+    EXPECT_EQ(shm.transport_piece_bytes, 0u);
+  }
   EXPECT_EQ(socket.transport_piece_bytes, 0u);
 }
 
@@ -635,19 +641,76 @@ TEST(DistributedTransport, EdcsRoundsMatchOverSocketAndShm) {
 // threadsafe death tests: the statement re-execs, so the fork-heavy
 // transport code runs in a clean child.
 
-TEST(DistributedTransportDeathTest, KilledWorkerTimesOutNamingMachine) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Rng gen(31);
-  const EdgeList el = gnp(120, 0.05, gen);
-  const PeelingVcCoreset coreset;
-  StreamingOptions opts = socket_options(/*timeout_ms=*/2000);
-  opts.socket.fault_kill_machine = 2;
-  Rng rng(31);
-  EXPECT_DEATH(
-      (void)run_vc_protocol_streaming(el, 4, coreset, rng, nullptr, opts),
-      "socket transport: timed out after 2000 ms waiting for machine "
-      "frames; missing machine ids: \\[2\\]");
+/// One FaultPlan drives both cross-process transports, so each fault is
+/// one death test run over both; each transport keeps its own instance,
+/// deadline and diagnostic.
+struct FaultCase {
+  EngineTransport transport;
+  std::uint64_t seed;
+  int timeout_ms;
+  const char* diagnostic;
+};
+
+void PrintTo(const FaultCase& c, std::ostream* os) {
+  *os << (c.transport == EngineTransport::kSocket ? "socket" : "shm");
 }
+
+class FaultDeathTest : public ::testing::TestWithParam<FaultCase> {
+ protected:
+  /// Runs the VC protocol on a small instance over the case's transport
+  /// with `faults`, expecting the case's diagnostic.
+  void expect_death(FaultPlan faults) const {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const FaultCase& c = GetParam();
+    Rng gen(c.seed);
+    const EdgeList el = gnp(120, 0.05, gen);
+    const PeelingVcCoreset coreset;
+    StreamingOptions opts = c.transport == EngineTransport::kSocket
+                                ? socket_options(c.timeout_ms)
+                                : shm_options(c.timeout_ms);
+    opts.faults = faults;
+    Rng rng(c.seed);
+    EXPECT_DEATH(
+        (void)run_vc_protocol_streaming(el, 4, coreset, rng, nullptr, opts),
+        c.diagnostic);
+  }
+};
+
+using KilledWorkerDeathTest = FaultDeathTest;
+
+TEST_P(KilledWorkerDeathTest, DiesNamingMachine) {
+  FaultPlan faults;
+  faults.kill_machine = 2;
+  expect_death(faults);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DistributedTransport, KilledWorkerDeathTest,
+    ::testing::Values(
+        FaultCase{EngineTransport::kSocket, 31, 2000,
+                  "socket transport: timed out after 2000 ms waiting for "
+                  "machine frames; missing machine ids: \\[2\\]"},
+        FaultCase{EngineTransport::kShm, 34, 5000,
+                  "shm transport: machine 2 worker died before sending its "
+                  "round-0 frame"}));
+
+using PartialFrameDeathTest = FaultDeathTest;
+
+TEST_P(PartialFrameDeathTest, DiesNamingMachine) {
+  FaultPlan faults;
+  faults.torn_frame_machine = 1;
+  expect_death(faults);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DistributedTransport, PartialFrameDeathTest,
+    ::testing::Values(
+        FaultCase{EngineTransport::kSocket, 32, 10000,
+                  "socket transport: machine 1 closed its connection "
+                  "mid-frame"},
+        FaultCase{EngineTransport::kShm, 35, 5000,
+                  "shm transport: machine 1 worker died mid-frame in round "
+                  "0"}));
 
 TEST(DistributedTransportDeathTest, ConcurrentDuplicateMachineIdDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -675,19 +738,6 @@ TEST(DistributedTransportDeathTest, ConcurrentDuplicateMachineIdDies) {
       "socket transport: duplicate frame for machine 0");
 }
 
-TEST(DistributedTransportDeathTest, PartialFrameFailsNamingMachine) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Rng gen(32);
-  const EdgeList el = gnp(120, 0.05, gen);
-  const PeelingVcCoreset coreset;
-  StreamingOptions opts = socket_options(/*timeout_ms=*/10000);
-  opts.socket.fault_partial_frame_machine = 1;
-  Rng rng(32);
-  EXPECT_DEATH(
-      (void)run_vc_protocol_streaming(el, 4, coreset, rng, nullptr, opts),
-      "socket transport: machine 1 closed its connection mid-frame");
-}
-
 // ---------------------------------------------------------------------------
 // Shm-transport fault injection: the ring coordinator must convert every
 // lost-worker condition into a bounded-time failure that names the machine
@@ -712,33 +762,6 @@ TEST(DistributedTransport, ShmBackpressureTinyRingStillCompletes) {
   EXPECT_EQ(barrier_rng.next_u64(), shm_rng.next_u64());
 }
 
-TEST(DistributedTransportDeathTest, ShmKilledWorkerDiesNamingMachine) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Rng gen(34);
-  const EdgeList el = gnp(120, 0.05, gen);
-  const PeelingVcCoreset coreset;
-  StreamingOptions opts = shm_options(/*timeout_ms=*/5000);
-  opts.shm.fault_kill_machine = 2;
-  Rng rng(34);
-  EXPECT_DEATH(
-      (void)run_vc_protocol_streaming(el, 4, coreset, rng, nullptr, opts),
-      "shm transport: machine 2 worker died before sending its round-0 "
-      "frame");
-}
-
-TEST(DistributedTransportDeathTest, ShmPartialFrameDiesNamingMachine) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Rng gen(35);
-  const EdgeList el = gnp(120, 0.05, gen);
-  const PeelingVcCoreset coreset;
-  StreamingOptions opts = shm_options(/*timeout_ms=*/5000);
-  opts.shm.fault_partial_frame_machine = 1;
-  Rng rng(35);
-  EXPECT_DEATH(
-      (void)run_vc_protocol_streaming(el, 4, coreset, rng, nullptr, opts),
-      "shm transport: machine 1 worker died mid-frame in round 0");
-}
-
 TEST(DistributedTransportDeathTest, ShmPersistentWorkerKilledMidRunNamesRound) {
   // The pool must have served round 0 completely before the injected death:
   // a failure naming round 1 proves both the persistence (same worker, next
@@ -748,8 +771,8 @@ TEST(DistributedTransportDeathTest, ShmPersistentWorkerKilledMidRunNamesRound) {
   const EdgeList el = gnp(300, 6.0 / 300, gen);
   MpcEngineConfig config = shm_config(el, 3);
   config.streaming.shm.timeout_ms = 5000;
-  config.streaming.shm.fault_kill_machine = 1;
-  config.streaming.shm.fault_kill_round = 1;
+  config.streaming.faults.kill_machine = 1;
+  config.streaming.faults.kill_round = 1;
   Rng rng(11);
   EXPECT_DEATH(
       (void)run_recirculating_rounds(el, config, rng),
@@ -763,7 +786,7 @@ TEST(DistributedTransportDeathTest, ShmIgnoredShutdownIsKilledAndNamed) {
   const EdgeList el = gnp(300, 6.0 / 300, gen);
   MpcEngineConfig config = shm_config(el, 2);
   config.streaming.shm.timeout_ms = 1500;
-  config.streaming.shm.fault_ignore_shutdown_machine = 0;
+  config.streaming.faults.ignore_shutdown_machine = 0;
   Rng rng(12);
   EXPECT_DEATH(
       (void)run_recirculating_rounds(el, config, rng),

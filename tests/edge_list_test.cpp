@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
+#include "graph/io.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {
@@ -159,6 +163,81 @@ TEST(EdgeList, EmptyBehaviour) {
   Rng rng(5);
   EXPECT_TRUE(el.subsample(0.5, rng).empty());
   EXPECT_TRUE(el.sample_edges(5, rng).empty());
+}
+
+// Text ingest validates every row once, in Release too: a malformed file
+// dies with an "edge list io:" diagnostic naming the file's line and the
+// problem, while EdgeList::add keeps its debug-only check.
+
+std::string write_text(const char* name, const char* contents) {
+  const std::string path = std::string(::testing::TempDir()) + "/" + name;
+  std::ofstream(path) << contents;
+  return path;
+}
+
+TEST(EdgeListIoDeathTest, MissingHeaderDies) {
+  const std::string path = write_text("no_header.txt", "# only a comment\n");
+  EXPECT_DEATH(read_edge_list(path),
+               "edge list io: .*no_header.txt: no \"n m\" header line");
+}
+
+TEST(EdgeListIoDeathTest, UnparseableHeaderDies) {
+  const std::string path = write_text("bad_header.txt", "four two\n0 1\n");
+  EXPECT_DEATH(read_edge_list(path),
+               "edge list io: .*bad_header.txt:1: header is not \"n m\"");
+}
+
+TEST(EdgeListIoDeathTest, VertexCountBeyondVertexIdDies) {
+  const std::string path = write_text("huge_n.txt", "4294967296 1\n0 1\n");
+  EXPECT_DEATH(read_edge_list(path),
+               "edge list io: .*huge_n.txt:1: vertex count 4294967296 does "
+               "not fit a 32-bit vertex id");
+}
+
+TEST(EdgeListIoDeathTest, RowWithoutTwoIdsDies) {
+  const std::string path = write_text("short_row.txt", "4 2\n0 1\n2\n");
+  EXPECT_DEATH(read_edge_list(path),
+               "edge list io: .*short_row.txt:3: edge row is not two vertex "
+               "ids");
+}
+
+TEST(EdgeListIoDeathTest, OutOfRangeIdDies) {
+  const std::string path =
+      write_text("out_of_range.txt", "4 2\n0 1\n2 4000000\n");
+  EXPECT_DEATH(read_edge_list(path),
+               "edge list io: .*out_of_range.txt:3: edge \\(2, 4000000\\) "
+               "leaves the 4-vertex universe");
+}
+
+TEST(EdgeListIoDeathTest, SelfLoopDies) {
+  const std::string path = write_text("self_loop.txt", "4 1\n2 2\n");
+  EXPECT_DEATH(read_edge_list(path),
+               "edge list io: .*self_loop.txt:2: edge is a self-loop at "
+               "vertex 2");
+}
+
+TEST(EdgeListIoDeathTest, FewerRowsThanClaimedDies) {
+  const std::string path = write_text("few_rows.txt", "4 5\n0 1\n2 3\n");
+  EXPECT_DEATH(read_edge_list(path),
+               "edge list io: .*few_rows.txt:3: file ends after 2 of the 5 "
+               "edges the header claims");
+}
+
+TEST(EdgeListIoDeathTest, HugeClaimedCountDiesOnTheMissingRows) {
+  // The claimed count must not size the allocation: a header promising
+  // 10^11 edges over a one-row body dies on the missing rows, never on a
+  // bad_alloc or length_error from reserving them.
+  const std::string path = write_text("huge_m.txt", "4 100000000000\n0 1\n");
+  EXPECT_DEATH(read_edge_list(path),
+               "edge list io: .*huge_m.txt:2: file ends after 1 of the "
+               "100000000000 edges the header claims");
+}
+
+TEST(EdgeListIoDeathTest, RowsBeyondClaimedCountDie) {
+  const std::string path = write_text("extra_rows.txt", "4 1\n0 1\n2 3\n");
+  EXPECT_DEATH(read_edge_list(path),
+               "edge list io: .*extra_rows.txt:3: data row beyond the 1 edges "
+               "the header claims");
 }
 
 }  // namespace

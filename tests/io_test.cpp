@@ -63,7 +63,9 @@ TEST(IODeathTest, TruncatedFileAborts) {
     std::ofstream out(path);
     out << "3 2\n0 1\n";  // promises 2 edges, provides 1
   }
-  EXPECT_DEATH(read_edge_list(path), "RCC_CHECK");
+  EXPECT_DEATH(read_edge_list(path),
+               "edge list io: .*truncated.txt:2: file ends after 1 of the 2 "
+               "edges");
   std::remove(path.c_str());
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -296,6 +297,116 @@ TEST(SummaryWireDeathTest, OutOfRangePinnedGroupDies) {
   WireReader reader(payload.data(), payload.size());
   EXPECT_DEATH((void)SummaryCodec<GroupedVcSummary>::decode(reader),
                "summary wire: pinned group 0 = 4 leaves the 4-group universe");
+}
+
+// ---------------------------------------------------------------------------
+// Piece frames: the shm downlink's one format (kPieceDelivery). The sender
+// streams a stack-built prefix plus the shard's raw edge bytes; the worker
+// decodes a borrowing view of the payload.
+
+struct PieceFixture {
+  EdgeList piece = EdgeList(50);
+  std::array<std::uint64_t, 4> rng_state{};
+  std::uint32_t round = 3;
+  std::uint32_t machine = 5;
+
+  PieceFixture() {
+    Rng gen(21);
+    piece = gnp(50, 0.2, gen);
+    Rng stream(22);
+    rng_state = stream.fork().state();
+  }
+
+  std::vector<std::uint8_t> frame() const {
+    return encode_piece_frame(piece.edges().data(), piece.num_edges(),
+                              piece.num_vertices(), rng_state, round,
+                              machine);
+  }
+};
+
+PieceDeliveryView decode_piece(const std::vector<std::uint8_t>& frame) {
+  const FrameHeader header = decode_frame_header(frame.data());
+  return decode_piece_frame_view(header, frame.data() + kFrameHeaderBytes);
+}
+
+TEST(SummaryWire, PieceFrameEncodingsAgree) {
+  const PieceFixture f;
+  ASSERT_GT(f.piece.num_edges(), 0u);
+  std::vector<std::uint8_t> streamed(kPieceFramePrefixBytes);
+  encode_piece_frame_prefix(f.piece.num_edges(), f.piece.num_vertices(),
+                            f.rng_state, f.round, f.machine, streamed.data());
+  const auto* body =
+      reinterpret_cast<const std::uint8_t*>(f.piece.edges().data());
+  streamed.insert(streamed.end(), body,
+                  body + f.piece.num_edges() * sizeof(Edge));
+  PieceDelivery delivery;
+  delivery.round = f.round;
+  delivery.rng_state = f.rng_state;
+  delivery.edges = f.piece;
+  EXPECT_EQ(streamed, f.frame());
+  EXPECT_EQ(f.frame(), encode_frame(delivery, f.machine));
+}
+
+TEST(SummaryWire, PieceFrameViewRoundTrips) {
+  const PieceFixture f;
+  const std::vector<std::uint8_t> frame = f.frame();
+  const FrameHeader header = decode_frame_header(frame.data());
+  EXPECT_EQ(header.shape, SummaryShape::kPieceDelivery);
+  EXPECT_EQ(header.machine, f.machine);
+  const PieceDeliveryView view = decode_piece(frame);
+  EXPECT_EQ(view.round, f.round);
+  EXPECT_EQ(view.rng_state, f.rng_state);
+  EXPECT_EQ(view.num_vertices, f.piece.num_vertices());
+  EXPECT_EQ(std::vector<Edge>(view.edges, view.edges + view.num_edges),
+            f.piece.edges());
+
+  const std::vector<std::uint8_t> empty = encode_piece_frame(
+      nullptr, 0, 9, f.rng_state, 0, f.machine);
+  EXPECT_EQ(empty.size(), kPieceFramePrefixBytes);
+  const PieceDeliveryView empty_view = decode_piece(empty);
+  EXPECT_EQ(empty_view.num_vertices, 9u);
+  EXPECT_EQ(empty_view.num_edges, 0u);
+}
+
+/// Frame offset of the first edge record's endpoints in a piece frame.
+constexpr std::size_t kFirstEdgeU = kPieceFramePrefixBytes;
+constexpr std::size_t kFirstEdgeV = kPieceFramePrefixBytes + 4;
+
+TEST(SummaryWireDeathTest, PieceFrameWrongShapeDies) {
+  EdgeList el(4);
+  el.add(0, 1);
+  const std::vector<std::uint8_t> frame = encode_frame(el, /*machine=*/2);
+  EXPECT_DEATH((void)decode_piece(frame),
+               "summary wire: frame from machine 2 carries shape tag 1, "
+               "expected 7");
+}
+
+TEST(SummaryWireDeathTest, PieceFrameEdgeCountLieDies) {
+  const PieceFixture f;
+  std::vector<std::uint8_t> frame = f.frame();
+  const std::uint64_t lie = f.piece.num_edges() + 1;
+  std::memcpy(frame.data() + kPieceFramePrefixBytes - 8, &lie, sizeof lie);
+  EXPECT_DEATH((void)decode_piece(frame),
+               "summary wire: piece frame claims .* edges but .* payload "
+               "bytes remain");
+}
+
+TEST(SummaryWireDeathTest, PieceFrameOutOfUniverseVertexDies) {
+  const PieceFixture f;
+  std::vector<std::uint8_t> frame = f.frame();
+  const std::uint32_t n = f.piece.num_vertices();
+  std::memcpy(frame.data() + kFirstEdgeV, &n, sizeof n);
+  EXPECT_DEATH((void)decode_piece(frame),
+               "summary wire: edge 0 = \\(.*, 50\\) leaves the 50-vertex "
+               "universe");
+}
+
+TEST(SummaryWireDeathTest, PieceFrameSelfLoopDies) {
+  const PieceFixture f;
+  std::vector<std::uint8_t> frame = f.frame();
+  std::memcpy(frame.data() + kFirstEdgeV, frame.data() + kFirstEdgeU, 4);
+  EXPECT_DEATH((void)decode_piece(frame),
+               "summary wire: edge 0 is a self-loop at vertex");
 }
 
 }  // namespace
