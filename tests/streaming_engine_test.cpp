@@ -23,7 +23,9 @@
 #include "distributed/weighted_vc_protocol.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
+#include "mpc/coreset_mpc.hpp"
 #include "mpc/edcs_rounds.hpp"
+#include "mpc/filtering_mpc.hpp"
 #include "util/options.hpp"
 #include "util/thread_pool.hpp"
 
@@ -408,6 +410,185 @@ TEST(StreamingEngineDeath, UndersizedShmRingExitsStrictly) {
   EXPECT_EXIT(streaming_options_from_options(options),
               ::testing::ExitedWithCode(2),
               "flag --engine-shm-ring-bytes: 32 must be in \\[64, 2\\^30\\]");
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins of the entry points whose coordinator fold is the canonical
+// streaming fold: two seeds each, run sequentially and on a pool. A pin
+// reduces a run to the facts a change to the combine path could move.
+
+struct Pin {
+  std::uint64_t seed;
+  std::size_t size;            // matching edges / cover vertices
+  std::uint64_t hash;          // FNV-1a over the sorted solution
+  std::uint64_t comm_words;    // total words shipped to the coordinator
+  std::uint64_t memory_words;  // MPC: ledger max_memory_words; one-round
+                               // protocols: the largest machine message
+  std::size_t engine_rounds;   // MPC executor rounds; 1 for protocols
+  std::uint64_t next_rng;      // the caller rng's next_u64() after the run
+};
+
+std::uint64_t fnv1a(const std::vector<VertexId>& ids) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (VertexId id : ids) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (id >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+std::uint64_t solution_hash(const Matching& m) {
+  std::vector<VertexId> ids;
+  for (const Edge& e : sorted_edges(m)) {
+    ids.push_back(std::min(e.u, e.v));
+    ids.push_back(std::max(e.u, e.v));
+  }
+  return fnv1a(ids);
+}
+
+std::uint64_t solution_hash(const VertexCover& c) {
+  std::vector<VertexId> ids = c.vertices();
+  std::sort(ids.begin(), ids.end());
+  return fnv1a(ids);
+}
+
+template <typename Solution>
+Pin observe(std::uint64_t seed, const Solution& solution,
+            std::uint64_t comm_words, std::uint64_t memory_words,
+            std::size_t engine_rounds, Rng& rng) {
+  return Pin{seed, solution.size(), solution_hash(solution), comm_words,
+             memory_words, engine_rounds, rng.next_u64()};
+}
+
+template <typename Run>
+void expect_pins(const std::vector<Pin>& pins, const Run& run) {
+  for (const Pin& pin : pins) {
+    for (const bool pooled : {false, true}) {
+      ThreadPool pool(4);
+      const Pin got = run(pin.seed, pooled ? &pool : nullptr);
+      const auto where = ::testing::Message()
+                         << "seed=" << pin.seed << " pooled=" << pooled;
+      EXPECT_EQ(got.size, pin.size) << where;
+      EXPECT_EQ(got.hash, pin.hash) << where;
+      EXPECT_EQ(got.comm_words, pin.comm_words) << where;
+      EXPECT_EQ(got.memory_words, pin.memory_words) << where;
+      EXPECT_EQ(got.engine_rounds, pin.engine_rounds) << where;
+      EXPECT_EQ(got.next_rng, pin.next_rng) << where;
+    }
+  }
+}
+
+TEST(EntryPointPins, CoresetMpcMatchingRounds) {
+  const std::vector<Pin> pins = {
+      {90, 226, 0xb459853bbd80002bULL, 992, 1132, 2, 0x02016331fab5c959ULL},
+      {91, 224, 0xb9e3bcd34f0c5227ULL, 984, 1144, 2, 0x9b09303d167df951ULL}};
+  expect_pins(pins, [](std::uint64_t seed, ThreadPool* pool) {
+    Rng gen(seed);
+    const EdgeList el = gnp(600, 2.0 / 600, gen);
+    MpcEngineConfig config;
+    config.mpc = MpcConfig{8, std::uint64_t{1} << 40};
+    config.max_rounds = 4;
+    config.input_already_random = false;
+    Rng rng(seed);
+    const CoresetMpcMatchingResult r =
+        coreset_mpc_matching_rounds(el, config, 0, rng, pool);
+    return observe(seed, r.matching, r.stats.total_comm_words,
+                   r.max_memory_words, r.stats.engine_rounds, rng);
+  });
+}
+
+TEST(EntryPointPins, CoresetMpcVertexCoverRounds) {
+  const std::vector<Pin> pins = {
+      {92, 292, 0x0210ed038c8c1b92ULL, 14154, 15212, 2, 0xa774bad6669de1f4ULL},
+      {93, 292, 0xb6112ac8b6c445f1ULL, 13746, 15162, 2, 0xdaff65ba86628ecbULL}};
+  expect_pins(pins, [](std::uint64_t seed, ThreadPool* pool) {
+    Rng gen(seed);
+    const EdgeList el = gnp(300, 0.2, gen);
+    MpcEngineConfig config;
+    config.mpc = MpcConfig{4, std::uint64_t{1} << 40};
+    config.max_rounds = 3;
+    Rng rng(seed);
+    const CoresetMpcVcResult r =
+        coreset_mpc_vertex_cover_rounds(el, config, rng, pool);
+    return observe(seed, r.cover, r.stats.total_comm_words,
+                   r.max_memory_words, r.stats.engine_rounds, rng);
+  });
+}
+
+TEST(EntryPointPins, FilteringMpcRounds) {
+  const std::vector<Pin> pins = {
+      {94, 194, 0x56eae6039037dfdaULL, 3194, 3064, 2, 0x5a32e64df3d65dc3ULL},
+      {95, 194, 0xd7c064e0c23f1730ULL, 3006, 2886, 2, 0x6299777b00adc88cULL}};
+  expect_pins(pins, [](std::uint64_t seed, ThreadPool* pool) {
+    Rng gen(seed);
+    const EdgeList el = gnp(400, 0.08, gen);
+    MpcEngineConfig config;
+    config.mpc = MpcConfig{8, 2 * 3000};
+    config.max_rounds = 1000;
+    Rng rng(seed);
+    const FilteringMpcResult r = filtering_mpc_rounds(el, config, rng, pool);
+    return observe(seed, r.maximal_matching, r.stats.total_comm_words,
+                   r.max_memory_words, r.stats.engine_rounds, rng);
+  });
+}
+
+TEST(EntryPointPins, GroupedVcProtocol) {
+  const std::vector<Pin> pins = {
+      {6, 234, 0x629ef3b58d500895ULL, 2656, 562, 1, 0x4710ac2cafac5e88ULL},
+      {7, 234, 0xc00a646631724e31ULL, 2634, 542, 1, 0xe56de11ea1172caeULL}};
+  expect_pins(pins, [](std::uint64_t seed, ThreadPool* pool) {
+    Rng gen(seed);
+    const EdgeList el = gnp(256, 0.04, gen);
+    Rng rng(seed);
+    const GroupedVcProtocolResult r =
+        grouped_vc_protocol(el, kMachines, /*alpha=*/8.0, rng, pool);
+    return observe(seed, r.solution, r.comm.total_words(),
+                   r.comm.max_machine_words(), 1, rng);
+  });
+}
+
+WeightedEdgeList weighted_path_multigraph(Rng& gen) {
+  WeightedEdgeList w;
+  w.num_vertices = 120;
+  for (int i = 0; i < 900; ++i) {
+    const auto u = static_cast<VertexId>(gen.next_below(119));
+    w.add(u, static_cast<VertexId>(u + 1), gen.uniform_real(0.5, 16.0));
+  }
+  return w;
+}
+
+TEST(EntryPointPins, WeightedMatchingProtocol) {
+  const std::vector<Pin> pins = {
+      {8, 59, 0xe5466e6936a99f9eULL, 1620, 348, 1, 0xe939bdbcafbaefb4ULL},
+      {9, 58, 0x733b66b70ae24385ULL, 1677, 369, 1, 0x594f599ba49ebb47ULL}};
+  expect_pins(pins, [](std::uint64_t seed, ThreadPool* pool) {
+    Rng gen(seed);
+    const WeightedEdgeList w = weighted_path_multigraph(gen);
+    Rng rng(seed);
+    const WeightedMatchingProtocolResult r =
+        weighted_matching_protocol(w, kMachines, 0, rng, pool);
+    return observe(seed, r.solution, r.comm.total_words(),
+                   r.comm.max_machine_words(), 1, rng);
+  });
+}
+
+TEST(EntryPointPins, WeightedVcProtocol) {
+  const std::vector<Pin> pins = {
+      {8, 169, 0x1f54282118a59ce2ULL, 2086, 444, 1, 0xe939bdbcafbaefb4ULL},
+      {9, 172, 0x1c6dad5bcfe09dd0ULL, 2040, 418, 1, 0x594f599ba49ebb47ULL}};
+  expect_pins(pins, [](std::uint64_t seed, ThreadPool* pool) {
+    Rng gen(seed);
+    const EdgeList el = gnp(200, 0.05, gen);
+    VertexWeights weights(el.num_vertices());
+    for (double& x : weights) x = gen.uniform_real(1.0, 64.0);
+    Rng rng(seed);
+    const WeightedVcProtocolResult r =
+        weighted_vc_protocol(el, weights, kMachines, rng, pool);
+    return observe(seed, r.solution, r.comm.total_words(),
+                   r.comm.max_machine_words(), 1, rng);
+  });
 }
 
 }  // namespace
