@@ -41,8 +41,13 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"algorithm", "problem", "rounds", "peak-mem(words)",
                       "solution", "ratio"});
+  // One coreset round; adversarially placed input pays the Round-1 shuffle.
+  const MpcEngineConfig adversarial_cfg{
+      .mpc = cfg, .max_rounds = 1, .input_already_random = false};
+  const MpcEngineConfig random_cfg{
+      .mpc = cfg, .max_rounds = 1, .input_already_random = true};
   const CoresetMpcMatchingResult cm =
-      coreset_mpc_matching(el, cfg, /*input_already_random=*/false, 0, rng);
+      coreset_mpc_matching_rounds(el, adversarial_cfg, 0, rng);
   table.add_row({"coreset (adversarial input)", "matching",
                  TablePrinter::fmt(std::uint64_t{cm.rounds}),
                  TablePrinter::fmt(cm.max_memory_words),
@@ -50,7 +55,7 @@ int main(int argc, char** argv) {
                  TablePrinter::fmt_ratio(static_cast<double>(opt) /
                                          cm.matching.size())});
   const CoresetMpcMatchingResult cm1 =
-      coreset_mpc_matching(el, cfg, /*input_already_random=*/true, 0, rng);
+      coreset_mpc_matching_rounds(el, random_cfg, 0, rng);
   table.add_row({"coreset (random input)", "matching",
                  TablePrinter::fmt(std::uint64_t{cm1.rounds}),
                  TablePrinter::fmt(cm1.max_memory_words),
@@ -72,7 +77,7 @@ int main(int argc, char** argv) {
                  TablePrinter::fmt_ratio(static_cast<double>(opt) /
                                          cm3.matching.size())});
   const CoresetMpcVcResult cv =
-      coreset_mpc_vertex_cover(el, cfg, /*input_already_random=*/false, rng);
+      coreset_mpc_vertex_cover_rounds(el, adversarial_cfg, rng);
   table.add_row({"coreset (adversarial input)", "vertex cover",
                  TablePrinter::fmt(std::uint64_t{cv.rounds}),
                  TablePrinter::fmt(cv.max_memory_words),

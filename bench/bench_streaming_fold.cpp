@@ -1,18 +1,21 @@
-// EXP: barrier vs streaming coordinator folds on skewed shards.
+// EXP: streaming coordinator folds on skewed shards.
 //
 // The paper's protocol is one simultaneous round: k machines send summaries
-// to a coordinator. The barrier fold cannot start until the SLOWEST machine
-// finishes, so its wall-clock is gated by the worst shard even though
-// greedy/coreset folds are naturally incremental. This bench builds a
-// deliberately skewed partition — k-1 small shards plus one shard holding
-// `--skew` times their edges, placed LAST so the canonical reorder buffer is
-// the worst case that still overlaps — and measures:
+// to a coordinator. A fold that waited for every machine would be gated by
+// the SLOWEST shard even though greedy/coreset folds are naturally
+// incremental; the engine's streaming fold absorbs each summary as it
+// lands. This bench builds a deliberately skewed partition — k-1 small
+// shards plus one shard holding `--skew` times their edges, placed LAST so
+// the canonical reorder buffer is the worst case that still overlaps — and
+// measures:
 //
-//   * wall seconds of the barrier fold vs streaming canonical vs arrival,
+//   * wall seconds of canonical and arrival order on the thread pool, and of
+//     canonical order without a pool (machine by machine),
 //   * the overlap telemetry: how many summaries the coordinator absorbed
-//     while at least one machine was still building (0 for the barrier path;
-//     streaming exists to make this > 0),
-//   * that canonical streaming returns the exact barrier matching.
+//     while at least one machine was still building (> 0 on the pool is
+//     what streaming exists to create),
+//   * that canonical order on the pool returns the exact matching and comm
+//     words of the sequential run.
 //
 // --json <path> additionally dumps the table as one JSON object (the CI
 // job archives it as BENCH_streaming_fold.json; non-gating).
@@ -59,9 +62,9 @@ int main(int argc, char** argv) {
   using namespace rcc;
 
   Options opts(
-      "bench_streaming_fold: barrier vs streaming coordinator folds on "
-      "skewed shards (the streaming path overlaps machine and combine "
-      "phases; canonical order stays seed-for-seed exact)");
+      "bench_streaming_fold: streaming coordinator folds on skewed shards "
+      "(absorbs overlap the machine phase; canonical order stays "
+      "seed-for-seed exact)");
   opts.flag("seed", "42", "PRNG seed");
   opts.flag("scale", "1.0", "instance size multiplier");
   opts.flag("reps", "3", "repetitions per mode (min wall time is reported)");
@@ -105,47 +108,30 @@ int main(int argc, char** argv) {
   const auto account = [](const EdgeList& s) {
     return MessageSize{s.num_edges(), 0};
   };
-  const auto combine = [&](std::vector<EdgeList>& summaries, Rng& rng) {
-    GreedyMergeFold fold(n);
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-      fold.absorb(summaries[i], i);
-    }
-    return fold.finish(summaries, rng);
-  };
 
   ThreadPool pool;
   std::vector<Row> rows;
-  std::size_t barrier_size = 0;
-  std::size_t canonical_size = 0;
 
-  const auto run_mode = [&](const std::string& mode) {
+  const auto run_mode = [&](const std::string& mode, StreamingOrder order,
+                            ThreadPool* mode_pool) {
     Row row;
     row.mode = mode;
     row.seconds = 1e100;
+    StreamingOptions sopts;
+    sopts.order = order;
     for (int rep = 0; rep < reps; ++rep) {
       Rng rng(seed);
       WallTimer timer;
+      GreedyMergeFold fold(n);
+      auto r = run_protocol_on_pieces<Edge>(pieces_of(pieces), n, 0, rng,
+                                            mode_pool, build, account, fold,
+                                            sopts);
       Row sample;
       sample.mode = mode;
-      if (mode == "barrier") {
-        auto r = run_protocol_on_pieces<Edge>(pieces_of(pieces), n, 0, rng,
-                                              &pool, build, account, combine);
-        sample.seconds = timer.seconds();
-        sample.overlap = r.streaming.absorbed_while_machines_ran;
-        sample.matching = r.solution.size();
-        sample.comm = r.comm.total_words();
-      } else {
-        StreamingOptions sopts;
-        sopts.order = mode == "arrival" ? StreamingOrder::kArrival
-                                        : StreamingOrder::kCanonical;
-        GreedyMergeFold fold(n);
-        auto r = run_protocol_streaming_on_pieces<Edge>(
-            pieces_of(pieces), n, 0, rng, &pool, build, account, fold, sopts);
-        sample.seconds = timer.seconds();
-        sample.overlap = r.streaming.absorbed_while_machines_ran;
-        sample.matching = r.solution.size();
-        sample.comm = r.comm.total_words();
-      }
+      sample.seconds = timer.seconds();
+      sample.overlap = r.streaming.absorbed_while_machines_ran;
+      sample.matching = r.solution.size();
+      sample.comm = r.comm.total_words();
       // Keep the whole fastest rep: its overlap is the one that explains
       // its wall time (overlap varies with scheduling in arrival mode).
       if (sample.seconds < row.seconds) row = sample;
@@ -154,11 +140,10 @@ int main(int argc, char** argv) {
     return row;
   };
 
-  const Row barrier = run_mode("barrier");
-  barrier_size = barrier.matching;
-  const Row canonical = run_mode("canonical");
-  canonical_size = canonical.matching;
-  const Row arrival = run_mode("arrival");
+  const Row sequential =
+      run_mode("sequential", StreamingOrder::kCanonical, nullptr);
+  const Row canonical = run_mode("canonical", StreamingOrder::kCanonical, &pool);
+  const Row arrival = run_mode("arrival", StreamingOrder::kArrival, &pool);
 
   TablePrinter table({"mode", "wall_s", "overlap", "matching", "comm_words"});
   for (const Row& row : rows) {
@@ -170,10 +155,12 @@ int main(int argc, char** argv) {
   table.print();
 
   // The claims this bench pins: the coordinator starts absorbing before the
-  // last machine finishes (overlap > 0 in both streaming modes), and
-  // canonical order pays for its determinism with zero result drift.
+  // last machine finishes (overlap > 0 in both pooled modes), and canonical
+  // order on the pool pays for its overlap with zero result drift from the
+  // sequential run.
   const bool overlap_ok = canonical.overlap > 0 && arrival.overlap > 0;
-  const bool exact_ok = canonical_size == barrier_size;
+  const bool exact_ok = canonical.matching == sequential.matching &&
+                        canonical.comm == sequential.comm;
   const bool shape_ok = overlap_ok && exact_ok;
 
   if (!json_path.empty()) {
@@ -205,7 +192,7 @@ int main(int argc, char** argv) {
 
   bench::verdict(shape_ok,
                  "streaming folds absorb summaries while the skewed shard is "
-                 "still building, and canonical order reproduces the barrier "
-                 "matching exactly");
+                 "still building, and canonical order on the pool reproduces "
+                 "the sequential matching and comm words exactly");
   return shape_ok ? 0 : 1;
 }

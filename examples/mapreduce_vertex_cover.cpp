@@ -56,8 +56,11 @@ int main(int argc, char** argv) {
           1024.0 / 1024.0,
       cfg.num_machines, static_cast<unsigned long long>(cfg.memory_words));
 
-  const CoresetMpcVcResult coreset = coreset_mpc_vertex_cover(
-      similarity, cfg, /*input_already_random=*/false, rng);
+  const CoresetMpcVcResult coreset = coreset_mpc_vertex_cover_rounds(
+      similarity,
+      MpcEngineConfig{
+          .mpc = cfg, .max_rounds = 1, .input_already_random = false},
+      rng);
   const FilteringMpcResult filtering = filtering_mpc(similarity, cfg, rng);
 
   TablePrinter table({"algorithm", "rounds", "peak memory (words)",

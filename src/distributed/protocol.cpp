@@ -10,50 +10,23 @@ namespace rcc {
 
 namespace {
 
-/// The engine lambdas shared by the matching entry points.
-struct MatchingPhases {
-  const MatchingCoreset& coreset;
-  ComposeSolver solver;
-  VertexId left_size;
+/// The machine phase of both protocols: the caller's coreset on the shard.
+template <typename Coreset>
+auto coreset_build(const Coreset& coreset) {
+  return [&coreset](EdgeSpan piece, const PartitionContext& ctx,
+                    Rng& machine_rng) {
+    return coreset.build(piece, ctx, machine_rng);
+  };
+}
 
-  auto build() const {
-    return [this](EdgeSpan piece, const PartitionContext& ctx,
-                  Rng& machine_rng) {
-      return coreset.build(piece, ctx, machine_rng);
-    };
-  }
-  static MessageSize account(const EdgeList& summary) {
-    return MessageSize{summary.num_edges(), 0};
-  }
-  auto combine() const {
-    return [this](std::vector<EdgeList>& summaries, Rng& coordinator_rng) {
-      return compose_matching_coresets(summaries, solver, left_size,
-                                       coordinator_rng);
-    };
-  }
-};
+MessageSize matching_cost(const EdgeList& summary) {
+  return MessageSize{summary.num_edges(), 0};
+}
 
-/// The engine lambdas shared by the vertex cover entry points.
-struct VcPhases {
-  const VertexCoverCoreset& coreset;
-
-  auto build() const {
-    return [this](EdgeSpan piece, const PartitionContext& ctx,
-                  Rng& machine_rng) {
-      return coreset.build(piece, ctx, machine_rng);
-    };
-  }
-  static MessageSize account(const VcCoresetOutput& summary) {
-    return MessageSize{summary.residual_edges.num_edges(),
-                       summary.fixed_vertices.size()};
-  }
-  static auto combine(VertexId num_vertices) {
-    return [num_vertices](std::vector<VcCoresetOutput>& summaries,
-                          Rng& coordinator_rng) {
-      return compose_vc_coresets(summaries, num_vertices, coordinator_rng);
-    };
-  }
-};
+MessageSize vc_cost(const VcCoresetOutput& summary) {
+  return MessageSize{summary.residual_edges.num_edges(),
+                     summary.fixed_vertices.size()};
+}
 
 /// StreamingFold of the matching protocol: absorb unions the coreset
 /// subgraphs as machines finish (canonical order reproduces
@@ -65,7 +38,6 @@ struct MatchingStreamFold {
   VertexId left_size;
   EdgeList union_edges;
 
-  void init(std::size_t /*k*/) {}
   void absorb(EdgeList& summary, std::size_t /*machine*/) {
     union_edges.append(summary);
   }
@@ -102,69 +74,47 @@ struct VcStreamFold {
 
 }  // namespace
 
-MatchingProtocolResult run_matching_protocol(EdgeSource graph,
-                                             std::size_t k,
-                                             const MatchingCoreset& coreset,
-                                             ComposeSolver solver,
-                                             VertexId left_size, Rng& rng,
-                                             ThreadPool* pool) {
-  const MatchingPhases phases{coreset, solver, left_size};
-  return run_protocol(graph, k, left_size, rng, pool, phases.build(),
-                      &MatchingPhases::account, phases.combine());
+MatchingProtocolResult run_matching_protocol(
+    EdgeSource graph, std::size_t k, const MatchingCoreset& coreset,
+    ComposeSolver solver, VertexId left_size, Rng& rng, ThreadPool* pool,
+    const StreamingOptions& streaming) {
+  MatchingStreamFold fold{solver, left_size, EdgeList(graph.num_vertices())};
+  return run_protocol<Edge>(
+      std::span<const Edge>(graph.edges().data(), graph.num_edges()),
+      graph.num_vertices(), k, left_size, rng, pool, coreset_build(coreset),
+      matching_cost, fold, streaming);
 }
 
 MatchingProtocolResult run_matching_protocol_on_partition(
     const std::vector<EdgeList>& pieces, const MatchingCoreset& coreset,
     ComposeSolver solver, VertexId left_size, Rng& rng, ThreadPool* pool) {
   RCC_CHECK(!pieces.empty());
-  const MatchingPhases phases{coreset, solver, left_size};
-  return run_protocol_on_pieces<Edge>(
-      pieces_of(pieces), pieces.front().num_vertices(), left_size, rng, pool,
-      phases.build(), &MatchingPhases::account, phases.combine());
+  const VertexId n = pieces.front().num_vertices();
+  MatchingStreamFold fold{solver, left_size, EdgeList(n)};
+  return run_protocol_on_pieces<Edge>(pieces_of(pieces), n, left_size, rng,
+                                      pool, coreset_build(coreset),
+                                      matching_cost, fold);
 }
 
 VcProtocolResult run_vc_protocol(EdgeSource graph, std::size_t k,
                                  const VertexCoverCoreset& coreset, Rng& rng,
-                                 ThreadPool* pool) {
-  const VcPhases phases{coreset};
-  return run_protocol(graph, k, /*left_size=*/0, rng, pool, phases.build(),
-                      &VcPhases::account,
-                      VcPhases::combine(graph.num_vertices()));
+                                 ThreadPool* pool,
+                                 const StreamingOptions& streaming) {
+  VcStreamFold fold(graph.num_vertices());
+  return run_protocol<Edge>(
+      std::span<const Edge>(graph.edges().data(), graph.num_edges()),
+      graph.num_vertices(), k, /*left_size=*/0, rng, pool,
+      coreset_build(coreset), vc_cost, fold, streaming);
 }
 
 VcProtocolResult run_vc_protocol_on_partition(
     const std::vector<EdgeList>& pieces, const VertexCoverCoreset& coreset,
     VertexId num_vertices, Rng& rng, ThreadPool* pool) {
   RCC_CHECK(!pieces.empty());
-  const VcPhases phases{coreset};
-  return run_protocol_on_pieces<Edge>(
-      pieces_of(pieces), num_vertices, /*left_size=*/0, rng, pool,
-      phases.build(), &VcPhases::account, VcPhases::combine(num_vertices));
-}
-
-MatchingProtocolResult run_matching_protocol_streaming(
-    EdgeSource graph, std::size_t k, const MatchingCoreset& coreset,
-    ComposeSolver solver, VertexId left_size, Rng& rng, ThreadPool* pool,
-    const StreamingOptions& streaming) {
-  const MatchingPhases phases{coreset, solver, left_size};
-  MatchingStreamFold fold{solver, left_size, EdgeList(graph.num_vertices())};
-  return run_protocol_streaming<Edge>(
-      std::span<const Edge>(graph.edges().data(), graph.num_edges()),
-      graph.num_vertices(), k, left_size, rng, pool, phases.build(),
-      &MatchingPhases::account, fold, streaming);
-}
-
-VcProtocolResult run_vc_protocol_streaming(EdgeSource graph,
-                                           std::size_t k,
-                                           const VertexCoverCoreset& coreset,
-                                           Rng& rng, ThreadPool* pool,
-                                           const StreamingOptions& streaming) {
-  const VcPhases phases{coreset};
-  VcStreamFold fold(graph.num_vertices());
-  return run_protocol_streaming<Edge>(
-      std::span<const Edge>(graph.edges().data(), graph.num_edges()),
-      graph.num_vertices(), k, /*left_size=*/0, rng, pool, phases.build(),
-      &VcPhases::account, fold, streaming);
+  VcStreamFold fold(num_vertices);
+  return run_protocol_on_pieces<Edge>(pieces_of(pieces), num_vertices,
+                                      /*left_size=*/0, rng, pool,
+                                      coreset_build(coreset), vc_cost, fold);
 }
 
 }  // namespace rcc

@@ -1,10 +1,15 @@
-// Legacy-shaped entry points for the simultaneous coordinator model.
+// Entry points of the simultaneous coordinator model.
 //
-// These are thin wrappers over the unified ProtocolEngine
-// (protocol_engine.hpp): one run = sharded random partition into a flat
-// edge arena -> every machine builds its summary from its zero-copy shard
-// (thread pool; one task per machine; independent forked RNG streams) ->
-// the coordinator combines the summaries with no further interaction.
+// Each is one call to the ProtocolEngine (protocol_engine.hpp): one run =
+// sharded random partition into a flat edge arena -> every machine builds
+// its summary from its zero-copy shard (thread pool; one task per machine;
+// independent forked RNG streams) -> the coordinator absorbs the summaries
+// as they land and solves once the last one is in, with no further
+// interaction. The trailing StreamingOptions picks the absorb order and the
+// machine-phase transport; the default (canonical order, in process) is
+// seed-for-seed reproducible, and so is every transport in canonical order.
+// kArrival absorbs in completion order, which guarantees only the
+// protocol's invariants (validity / feasibility), not the exact solution.
 #pragma once
 
 #include <vector>
@@ -32,15 +37,14 @@ using VcProtocolResult = ProtocolResult<VertexCover, VcCoresetOutput>;
 /// `pool` may be null for sequential execution. `graph` is an EdgeSource —
 /// implicit from an EdgeList or an mmap-backed MappedGraph, same protocol
 /// seed-for-seed either way (this holds for every entry point below).
-MatchingProtocolResult run_matching_protocol(EdgeSource graph,
-                                             std::size_t k,
-                                             const MatchingCoreset& coreset,
-                                             ComposeSolver solver,
-                                             VertexId left_size, Rng& rng,
-                                             ThreadPool* pool = nullptr);
+MatchingProtocolResult run_matching_protocol(
+    EdgeSource graph, std::size_t k, const MatchingCoreset& coreset,
+    ComposeSolver solver, VertexId left_size, Rng& rng,
+    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
 
-/// Same engine over a pre-made partition (lets experiments contrast random
-/// vs adversarial partitionings on identical edges).
+/// Same engine over a caller-made partition: the only way to feed an
+/// adversarial partitioning, for experiments that contrast it with a random
+/// one on identical edges.
 MatchingProtocolResult run_matching_protocol_on_partition(
     const std::vector<EdgeList>& pieces, const MatchingCoreset& coreset,
     ComposeSolver solver, VertexId left_size, Rng& rng,
@@ -49,28 +53,11 @@ MatchingProtocolResult run_matching_protocol_on_partition(
 /// Runs the simultaneous vertex cover protocol.
 VcProtocolResult run_vc_protocol(EdgeSource graph, std::size_t k,
                                  const VertexCoverCoreset& coreset, Rng& rng,
-                                 ThreadPool* pool = nullptr);
+                                 ThreadPool* pool = nullptr,
+                                 const StreamingOptions& streaming = {});
 
 VcProtocolResult run_vc_protocol_on_partition(
     const std::vector<EdgeList>& pieces, const VertexCoverCoreset& coreset,
     VertexId num_vertices, Rng& rng, ThreadPool* pool = nullptr);
-
-/// Streaming variants of the two protocols above: the coordinator absorbs
-/// each machine's summary as it lands (union building, fixed-vertex
-/// accumulation) instead of waiting for the slowest machine, and only the
-/// final solve runs after the last summary. In StreamingOrder::kCanonical
-/// the result is seed-for-seed identical to the barrier entry points; in
-/// kArrival the absorb order follows completion, so only the protocol's
-/// invariants (validity / feasibility) are guaranteed, not the exact
-/// solution.
-MatchingProtocolResult run_matching_protocol_streaming(
-    EdgeSource graph, std::size_t k, const MatchingCoreset& coreset,
-    ComposeSolver solver, VertexId left_size, Rng& rng,
-    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
-
-VcProtocolResult run_vc_protocol_streaming(
-    EdgeSource graph, std::size_t k, const VertexCoverCoreset& coreset,
-    Rng& rng, ThreadPool* pool = nullptr,
-    const StreamingOptions& streaming = {});
 
 }  // namespace rcc

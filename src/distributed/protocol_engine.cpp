@@ -11,14 +11,11 @@ namespace rcc {
 void add_streaming_flags(Options& options) {
   // Idempotent: add_mpc_engine_flags registers this bundle too, and a
   // driver may legitimately call both.
-  if (options.has("engine-streaming")) return;
+  if (options.has("engine-streaming-order")) return;
   options
-      .flag("engine-streaming", "false",
-            "stream machine summaries into the coordinator fold as they "
-            "finish (overlaps the machine and combine phases)")
       .flag("engine-streaming-order", "canonical",
-            "streaming absorb order: 'canonical' (reorder buffer, "
-            "seed-for-seed identical to the barrier fold) or 'arrival'")
+            "coordinator absorb order: 'canonical' (reorder buffer, "
+            "seed-for-seed reproducible) or 'arrival'")
       .flag("engine-queue-capacity", "0",
             "completion-queue slots between machines and the coordinator "
             "(0 = one per machine, producers never block)")
@@ -103,10 +100,6 @@ StreamingOptions streaming_options_from_options(const Options& options) {
   }
   opts.shm.ring_bytes = static_cast<std::size_t>(ring_bytes);
   return opts;
-}
-
-bool streaming_enabled_from_options(const Options& options) {
-  return options.get_bool("engine-streaming");
 }
 
 }  // namespace rcc

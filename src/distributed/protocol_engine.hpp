@@ -15,32 +15,22 @@
 //                (matching solver / VC union / weighted merge — pluggable).
 //
 // The engine is generic over the edge payload (Edge / WeightedEdge), the
-// summary type, and the three phase callables, and returns a unified
+// summary type, and the phase callables, and returns a unified
 // ProtocolResult carrying the solution, the retained summaries, word-exact
-// communication stats, and per-phase wall timings. The legacy entry points
-// in protocol.hpp / protocols.hpp / weighted_*_protocol.hpp are thin
-// wrappers over run_protocol / run_protocol_on_pieces.
+// communication stats, and per-phase wall timings. Every driver in
+// protocol.hpp / protocols.hpp / weighted_*_protocol.hpp is one call to
+// run_protocol (or run_protocol_on_pieces for a caller-made partition).
 //
-// Adding a protocol variant means writing three lambdas — see the wrappers
-// in protocol.cpp for the pattern; no new driver loop, accounting, or
-// timing code.
-//
-// The combine phase has two shapes:
-//
-//   * the ALL-SUMMARIES fold `combine(summaries, rng)` — the coordinator
-//     waits for every machine (a barrier) and folds the whole vector, and
-//   * the STREAMING fold — machines push completed summaries into a bounded
-//     completion queue and a StreamingFold (`init / absorb(summary, machine)
-//     / finish`) consumes them as they land, overlapping the machine and
-//     combine phases so the coordinator is not gated on the slowest shard.
-//
-// run_protocol_on_pieces (the all-summaries shape) is a thin wrapper over
-// the streaming core with a no-op absorb. Streaming keeps the repo's
-// seed-for-seed determinism contract in StreamingOrder::kCanonical: a small
-// reorder buffer keyed on machine id makes the absorb order canonical, so a
-// canonical streaming run is draw-for-draw identical to the barrier fold.
-// StreamingOrder::kArrival absorbs in completion order — the fastest
-// overlap, for folds whose result is absorb-order independent.
+// The combine phase is a STREAMING fold: machines push completed summaries
+// into a bounded completion queue and a StreamingFold (`init / absorb
+// (summary, machine) / finish`) consumes them as they land, overlapping the
+// machine and combine phases so the coordinator is not gated on the
+// slowest shard. StreamingOrder::kCanonical (the default) keeps the repo's
+// seed-for-seed determinism contract: a small reorder buffer keyed on
+// machine id absorbs in machine-id order, so the result does not depend on
+// thread scheduling or transport. StreamingOrder::kArrival absorbs in
+// completion order — the fastest overlap, for folds whose result is
+// absorb-order independent.
 #pragma once
 
 #include <array>
@@ -71,17 +61,16 @@ class Options;
 /// Wall time of each engine phase.
 struct ProtocolTiming {
   double partition_seconds = 0.0;
-  double summaries_seconds = 0.0;  // wall time of the parallel machine phase
-                                   // (streaming: machine phase + overlapped
-                                   // absorbs, until the last absorb returns)
-  double combine_seconds = 0.0;    // barrier: the whole fold;
-                                   // streaming: the finish call only
+  double summaries_seconds = 0.0;  // wall time of the machine phase plus the
+                                   // overlapped absorbs, until the last
+                                   // absorb returns
+  double combine_seconds = 0.0;    // the fold's finish call
 };
 
 /// Absorb scheduling of the streaming combine path.
 enum class StreamingOrder {
   kCanonical,  // absorb in machine-id order via a reorder buffer —
-               // seed-for-seed identical to the all-summaries fold
+               // seed-for-seed reproducible across pools and transports
   kArrival,    // absorb in completion order — maximal overlap, only for
                // folds whose result is absorb-order independent
 };
@@ -142,14 +131,12 @@ struct TransportTelemetry {
   std::uint64_t forks = 0;
 };
 
-/// What the streaming path observed; all zeros for barrier runs.
+/// What the streaming fold observed.
 struct StreamingTelemetry {
-  bool streamed = false;
-  StreamingOrder order = StreamingOrder::kCanonical;
   /// Summaries the coordinator absorbed BEFORE the machine phase finished
   /// (i.e. before the last summary was built): the pipelining the streaming
-  /// path exists to create — 0 on a barrier run (everything is absorbed
-  /// after the phase), up to k-1 on a perfectly skewed one. With a thread
+  /// fold exists to create — 0 when every summary lands after the phase,
+  /// up to k-1 on a perfectly skewed one. With a thread
   /// pool this is wall-clock machine/combine overlap; on a sequential run
   /// it measures the same interleaving (absorb i precedes build i+1), just
   /// without concurrency.
@@ -169,8 +156,9 @@ struct ProtocolResult {
   TransportTelemetry transport;
 };
 
-/// Machine phases + STREAMING combine over pre-made pieces. This is the
-/// engine core; the all-summaries shape below wraps it.
+/// Machine phases + streaming combine over pre-made pieces (arena shards, or
+/// any contiguous edge storage — experiments use this to contrast random vs
+/// adversarial partitionings on identical edges). This is the engine core.
 ///
 ///   build(piece, ctx, machine_rng) -> Summary   one machine's summary,
 ///       where piece is the typed view (EdgeSpan / WeightedEdgeSpan) over
@@ -189,14 +177,14 @@ struct ProtocolResult {
 ///       instead and receives the recorded cost — account is never
 ///       re-evaluated
 ///   fold.finish(summaries, rng) -> Solution   after every absorb; the
-///       retained summary vector is passed for folds (like the barrier
-///       wrapper) that want the whole collection
+///       retained summary vector is passed for folds that want the whole
+///       collection
 ///
-/// RNG discipline matches the barrier path exactly: k machine streams are
-/// forked up front, absorb draws nothing, finish gets the coordinator's rng —
-/// so a canonical-order streaming run consumes the identical stream.
+/// RNG discipline: k machine streams are forked up front, absorb draws
+/// nothing, finish gets the coordinator's rng — so the caller's rng ends at
+/// the same position whatever the pool, order, or transport.
 template <typename EdgeT, typename Build, typename Account, typename StreamFold>
-auto run_protocol_streaming_on_pieces(
+auto run_protocol_on_pieces(
     const std::vector<std::span<const EdgeT>>& pieces, VertexId num_vertices,
     VertexId left_size, Rng& rng, ThreadPool* pool, const Build& build,
     const Account& account, StreamFold&& fold,
@@ -211,8 +199,6 @@ auto run_protocol_streaming_on_pieces(
   const std::size_t k = pieces.size();
   RCC_CHECK(k >= 1);
   ProtocolResult<Solution, Summary> result;
-  result.streaming.streamed = true;
-  result.streaming.order = opts.order;
 
   if constexpr (requires { fold.init(k); }) fold.init(k);
 
@@ -434,49 +420,6 @@ auto run_protocol_streaming_on_pieces(
   return result;
 }
 
-namespace engine_detail {
-
-/// Adapts an all-summaries combine into the StreamingFold contract: absorb
-/// is a no-op (the summaries already land in the engine's retained vector)
-/// and finish is the barrier fold.
-template <typename Combine>
-struct BarrierFold {
-  const Combine& combine;
-
-  template <typename Summary>
-  void absorb(Summary&, std::size_t) {}
-  template <typename Summary>
-  auto finish(std::vector<Summary>& summaries, Rng& rng) {
-    return combine(summaries, rng);
-  }
-};
-
-}  // namespace engine_detail
-
-/// Machine + combine phases over pre-made pieces (arena shards, or any
-/// contiguous edge storage — experiments use this to contrast random vs
-/// adversarial partitionings on identical edges). The all-summaries shape:
-///
-///   combine(summaries, rng) -> Solution   the coordinator phase, after a
-///       barrier on the whole machine phase
-///
-/// Implemented as a no-op-absorb wrapper over the streaming core above, so
-/// both shapes share one driver loop and accounting path.
-template <typename EdgeT, typename Build, typename Account, typename Combine>
-auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
-                            VertexId num_vertices, VertexId left_size, Rng& rng,
-                            ThreadPool* pool, const Build& build,
-                            const Account& account, const Combine& combine,
-                            ProtocolWorkspace* workspace = nullptr) {
-  engine_detail::BarrierFold<Combine> fold{combine};
-  auto result = run_protocol_streaming_on_pieces<EdgeT>(
-      pieces, num_vertices, left_size, rng, pool, build, account, fold,
-      StreamingOptions{}, workspace);
-  // The fold saw nothing before the barrier; report barrier semantics.
-  result.streaming = StreamingTelemetry{};
-  return result;
-}
-
 /// Adapts a sharded partition into engine pieces (zero-copy arena slices;
 /// the partition must outlive the call).
 template <typename EdgeT>
@@ -490,62 +433,19 @@ std::vector<std::span<const EdgeT>> pieces_of(
   return pieces;
 }
 
-/// The full pipeline: sharded random partition, then machines + combine.
-/// The partition and machine phases both run on `pool` when provided.
-template <typename EdgeT, typename Build, typename Account, typename Combine>
-auto run_protocol(std::span<const EdgeT> edges, VertexId num_vertices,
-                  std::size_t k, VertexId left_size, Rng& rng, ThreadPool* pool,
-                  const Build& build, const Account& account,
-                  const Combine& combine) {
-  WallTimer timer;
-  const ShardedPartition<EdgeT> parts(edges, num_vertices, k, rng, pool);
-  const double partition_seconds = timer.seconds();
-
-  auto result = run_protocol_on_pieces<EdgeT>(pieces_of(parts), num_vertices,
-                                              left_size, rng, pool, build,
-                                              account, combine);
-  result.timing.partition_seconds = partition_seconds;
-  return result;
-}
-
-/// Whole-graph conveniences: run the full pipeline straight off an
-/// EdgeSource (the common entry-point shape) without each caller spelling
-/// out the raw span plumbing. EdgeSource converts implicitly from both an
-/// owning EdgeList and an mmap-backed MappedGraph (graph/edge_source.hpp),
-/// so the same call works in-memory and out-of-core.
-template <typename Build, typename Account, typename Combine>
-auto run_protocol(EdgeSource graph, std::size_t k, VertexId left_size,
-                  Rng& rng, ThreadPool* pool, const Build& build,
-                  const Account& account, const Combine& combine) {
-  return run_protocol<Edge>(
-      std::span<const Edge>(graph.edges().data(), graph.num_edges()),
-      graph.num_vertices(), k, left_size, rng, pool, build, account, combine);
-}
-
-template <typename Build, typename Account, typename Combine>
-auto run_protocol(WeightedEdgeSource graph, std::size_t k,
-                  VertexId left_size, Rng& rng, ThreadPool* pool,
-                  const Build& build, const Account& account,
-                  const Combine& combine) {
-  return run_protocol<WeightedEdge>(
-      std::span<const WeightedEdge>(graph.edges().data(), graph.num_edges()),
-      graph.num_vertices(), k, left_size, rng, pool, build, account, combine);
-}
-
-/// The full streaming pipeline: sharded random partition, then machines
-/// streaming their summaries into the fold as they finish.
+/// The full pipeline: sharded random partition, then machines streaming
+/// their summaries into the fold as they finish. The partition and machine
+/// phases both run on `pool` when provided.
 template <typename EdgeT, typename Build, typename Account, typename StreamFold>
-auto run_protocol_streaming(std::span<const EdgeT> edges,
-                            VertexId num_vertices, std::size_t k,
-                            VertexId left_size, Rng& rng, ThreadPool* pool,
-                            const Build& build, const Account& account,
-                            StreamFold&& fold,
-                            const StreamingOptions& opts = {}) {
+auto run_protocol(std::span<const EdgeT> edges, VertexId num_vertices,
+                  std::size_t k, VertexId left_size, Rng& rng,
+                  ThreadPool* pool, const Build& build, const Account& account,
+                  StreamFold&& fold, const StreamingOptions& opts = {}) {
   WallTimer timer;
   const ShardedPartition<EdgeT> parts(edges, num_vertices, k, rng, pool);
   const double partition_seconds = timer.seconds();
 
-  auto result = run_protocol_streaming_on_pieces<EdgeT>(
+  auto result = run_protocol_on_pieces<EdgeT>(
       pieces_of(parts), num_vertices, left_size, rng, pool, build, account,
       std::forward<StreamFold>(fold), opts);
   result.timing.partition_seconds = partition_seconds;
@@ -553,13 +453,11 @@ auto run_protocol_streaming(std::span<const EdgeT> edges,
 }
 
 /// Registers the streaming combine + transport knobs on an Options parser:
-///   --engine-streaming             stream summaries into the coordinator fold
 ///   --engine-streaming-order       arrival | canonical (reorder buffer)
 ///   --engine-queue-capacity        completion-queue slots (0 = one/machine)
 ///   --engine-transport             inproc | socket (forked workers over
 ///                                  loopback) | shm (forked workers over
-///                                  shared-memory rings); both cross-process
-///                                  values imply the streaming path
+///                                  shared-memory rings)
 ///   --engine-transport-port        coordinator port (0 = ephemeral)
 ///   --engine-transport-timeout-ms  socket/shm deadline per wait
 ///   --engine-shm-ring-bytes        per-direction ring capacity for shm
@@ -568,9 +466,6 @@ void add_streaming_flags(Options& options);
 /// Reads the knobs registered by add_streaming_flags back; exits(2) on an
 /// unknown enum value or out-of-range number (strict Options philosophy).
 StreamingOptions streaming_options_from_options(const Options& options);
-
-/// True when --engine-streaming was set.
-bool streaming_enabled_from_options(const Options& options);
 
 /// Adapts a vector of owning edge lists into engine pieces (zero-copy views;
 /// the lists must outlive the call). All pieces must share one vertex

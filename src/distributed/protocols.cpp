@@ -7,13 +7,12 @@
 
 namespace rcc {
 
-MatchingProtocolResult coreset_matching_protocol(EdgeSource graph,
-                                                 std::size_t k,
-                                                 VertexId left_size, Rng& rng,
-                                                 ThreadPool* pool) {
+MatchingProtocolResult coreset_matching_protocol(
+    EdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
+    ThreadPool* pool, const StreamingOptions& streaming) {
   const MaximumMatchingCoreset coreset;
   return run_matching_protocol(graph, k, coreset, ComposeSolver::kMaximum,
-                               left_size, rng, pool);
+                               left_size, rng, pool, streaming);
 }
 
 MatchingProtocolResult subsampled_matching_protocol(EdgeSource graph,
@@ -26,15 +25,15 @@ MatchingProtocolResult subsampled_matching_protocol(EdgeSource graph,
 }
 
 VcProtocolResult coreset_vc_protocol(EdgeSource graph, std::size_t k,
-                                     Rng& rng, ThreadPool* pool) {
+                                     Rng& rng, ThreadPool* pool,
+                                     const StreamingOptions& streaming) {
   const PeelingVcCoreset coreset;
-  return run_vc_protocol(graph, k, coreset, rng, pool);
+  return run_vc_protocol(graph, k, coreset, rng, pool, streaming);
 }
 
 namespace {
 
-/// The grouping geometry plus the machine phase shared by the barrier and
-/// streaming grouped drivers.
+/// The grouping geometry plus the machine phase of the grouped driver.
 struct GroupedVcPhases {
   VertexId n;
   VertexId g;         // group width
@@ -126,64 +125,13 @@ struct GroupedVcStreamFold {
 
 }  // namespace
 
-GroupedVcProtocolResult grouped_vc_protocol(EdgeSource graph,
-                                            std::size_t k, double alpha,
-                                            Rng& rng, ThreadPool* pool) {
-  const PeelingVcCoreset coreset;
-  const GroupedVcPhases phases = GroupedVcPhases::make(graph, alpha, coreset);
-
-  // Coordinator: compose the group-universe coresets, then expand the group
-  // cover (and every pinned group) back to original vertices.
-  const auto combine = [&](std::vector<GroupedVcSummary>& summaries,
-                           Rng& coordinator_rng) {
-    std::vector<VcCoresetOutput> cores;
-    cores.reserve(summaries.size());
-    for (GroupedVcSummary& s : summaries) cores.push_back(std::move(s.core));
-    const VertexCover group_cover =
-        compose_vc_coresets(cores, phases.n_groups, coordinator_rng);
-
-    VertexCover expanded(phases.n);
-    for (VertexId group = 0; group < phases.n_groups; ++group) {
-      if (group_cover.contains(group)) phases.expand_group(expanded, group);
-    }
-    for (const GroupedVcSummary& s : summaries) {
-      for (VertexId group : s.pinned_groups) {
-        phases.expand_group(expanded, group);
-      }
-    }
-    return expanded;
-  };
-
-  GroupedVcProtocolResult result =
-      run_protocol(graph, k, /*left_size=*/0, rng, pool, phases.build(),
-                   &GroupedVcPhases::account, combine);
-  RCC_CHECK(result.solution.covers(graph.edges()));
-  return result;
-}
-
-MatchingProtocolResult coreset_matching_protocol_streaming(
-    EdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
-    ThreadPool* pool, const StreamingOptions& streaming) {
-  const MaximumMatchingCoreset coreset;
-  return run_matching_protocol_streaming(graph, k, coreset,
-                                         ComposeSolver::kMaximum, left_size,
-                                         rng, pool, streaming);
-}
-
-VcProtocolResult coreset_vc_protocol_streaming(
-    EdgeSource graph, std::size_t k, Rng& rng, ThreadPool* pool,
-    const StreamingOptions& streaming) {
-  const PeelingVcCoreset coreset;
-  return run_vc_protocol_streaming(graph, k, coreset, rng, pool, streaming);
-}
-
-GroupedVcProtocolResult grouped_vc_protocol_streaming(
+GroupedVcProtocolResult grouped_vc_protocol(
     EdgeSource graph, std::size_t k, double alpha, Rng& rng,
     ThreadPool* pool, const StreamingOptions& streaming) {
   const PeelingVcCoreset coreset;
   const GroupedVcPhases phases = GroupedVcPhases::make(graph, alpha, coreset);
   GroupedVcStreamFold fold(phases);
-  GroupedVcProtocolResult result = run_protocol_streaming<Edge>(
+  GroupedVcProtocolResult result = run_protocol<Edge>(
       std::span<const Edge>(graph.edges().data(), graph.num_edges()),
       graph.num_vertices(), k, /*left_size=*/0, rng, pool, phases.build(),
       &GroupedVcPhases::account, fold, streaming);

@@ -8,16 +8,18 @@
 //  * grouped_vc_protocol         — Remark 5.8: contract vertex groups of
 //    size Theta(alpha / log n) and run the Theorem 2 coreset on the
 //    resulting *multigraph*; alpha-approx with O~(nk/alpha) communication.
+//
+// Each takes the engine's StreamingOptions last (see protocol.hpp for the
+// order / transport contract).
 #pragma once
 
 #include "distributed/protocol.hpp"
 
 namespace rcc {
 
-MatchingProtocolResult coreset_matching_protocol(EdgeSource graph,
-                                                 std::size_t k,
-                                                 VertexId left_size, Rng& rng,
-                                                 ThreadPool* pool = nullptr);
+MatchingProtocolResult coreset_matching_protocol(
+    EdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
+    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
 
 MatchingProtocolResult subsampled_matching_protocol(EdgeSource graph,
                                                     std::size_t k, double alpha,
@@ -25,7 +27,8 @@ MatchingProtocolResult subsampled_matching_protocol(EdgeSource graph,
                                                     ThreadPool* pool = nullptr);
 
 VcProtocolResult coreset_vc_protocol(EdgeSource graph, std::size_t k,
-                                     Rng& rng, ThreadPool* pool = nullptr);
+                                     Rng& rng, ThreadPool* pool = nullptr,
+                                     const StreamingOptions& streaming = {});
 
 /// One machine's message in the grouped protocol: the Theorem 2 summary on
 /// the contracted multigraph, plus the groups the machine pinned locally.
@@ -44,22 +47,7 @@ using GroupedVcProtocolResult = ProtocolResult<VertexCover, GroupedVcSummary>;
 /// into the machine's fixed solution, since any cover must take one of its
 /// endpoints and the group expansion contains both). The returned cover
 /// lives in the *original* vertex universe.
-GroupedVcProtocolResult grouped_vc_protocol(EdgeSource graph,
-                                            std::size_t k, double alpha,
-                                            Rng& rng,
-                                            ThreadPool* pool = nullptr);
-
-/// Streaming variants of the named protocols (see
-/// run_matching_protocol_streaming for the order/determinism contract).
-MatchingProtocolResult coreset_matching_protocol_streaming(
-    EdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
-    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
-
-VcProtocolResult coreset_vc_protocol_streaming(
-    EdgeSource graph, std::size_t k, Rng& rng, ThreadPool* pool = nullptr,
-    const StreamingOptions& streaming = {});
-
-GroupedVcProtocolResult grouped_vc_protocol_streaming(
+GroupedVcProtocolResult grouped_vc_protocol(
     EdgeSource graph, std::size_t k, double alpha, Rng& rng,
     ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
 

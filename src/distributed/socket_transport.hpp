@@ -15,10 +15,10 @@
 // arrive, and hands back completed frames in ARRIVAL order — the engine's
 // canonical reorder buffer (util/completion.hpp) sits on top, exactly as it
 // does over the in-process completion queue, which is what makes the socket
-// path seed-for-seed identical to the barrier and in-process streaming
-// paths. Every wait carries a deadline: a worker that dies before (or
-// while) sending its frame surfaces as a transport_fail diagnostic naming
-// the missing machine id within timeout_ms, never a hang.
+// path seed-for-seed identical to the in-process path. Every wait carries a
+// deadline: a worker that dies before (or while) sending its frame surfaces
+// as a transport_fail diagnostic naming the missing machine id within
+// timeout_ms, never a hang.
 //
 // The worker side both cross-process transports share (FaultPlan and
 // worker_step) lives in worker_step.hpp.

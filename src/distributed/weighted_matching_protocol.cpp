@@ -8,7 +8,7 @@ namespace rcc {
 
 namespace {
 
-/// The engine lambdas shared by the barrier and streaming entry points.
+/// The machine phase and message cost of the weighted protocol.
 struct WeightedMatchingPhases {
   double class_base;
 
@@ -69,27 +69,11 @@ struct WeightedMatchingStreamFold {
 
 WeightedMatchingProtocolResult weighted_matching_protocol(
     WeightedEdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
-    ThreadPool* pool, double class_base) {
-  const WeightedMatchingPhases phases{class_base};
-  const auto combine = [&](std::vector<WeightedCoresetOutput>& summaries,
-                           Rng& /*coordinator_rng*/) {
-    return compose_weighted_coresets(summaries, graph.num_vertices(),
-                                     left_size, class_base);
-  };
-
-  auto engine_result =
-      run_protocol(graph, k, left_size, rng, pool, phases.build(),
-                   &WeightedMatchingPhases::account, combine);
-  return to_weighted_result(std::move(engine_result), graph, class_base);
-}
-
-WeightedMatchingProtocolResult weighted_matching_protocol_streaming(
-    WeightedEdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
     ThreadPool* pool, double class_base, const StreamingOptions& streaming) {
   const WeightedMatchingPhases phases{class_base};
   WeightedMatchingStreamFold fold(graph.num_vertices(), left_size,
                                   class_base);
-  auto engine_result = run_protocol_streaming<WeightedEdge>(
+  auto engine_result = run_protocol<WeightedEdge>(
       std::span<const WeightedEdge>(graph.edges().data(), graph.num_edges()),
       graph.num_vertices(), k, left_size, rng, pool, phases.build(),
       &WeightedMatchingPhases::account, fold, streaming);

@@ -1,7 +1,7 @@
 // Weighted maximum matching in the simultaneous model: the Crouch-Stubbs
 // coreset per machine, weighted merge at the coordinator, with the same
-// word-exact communication accounting as the unweighted protocols. A thin
-// wrapper over the ProtocolEngine instantiated with weighted edges.
+// word-exact communication accounting as the unweighted protocols. One call
+// to the ProtocolEngine instantiated with weighted edges.
 #pragma once
 
 #include "coreset/weighted_coreset.hpp"
@@ -21,15 +21,11 @@ struct WeightedMatchingProtocolResult
   std::size_t max_classes_per_machine = 0;
 };
 
+/// The coordinator unions the Crouch-Stubbs coresets as machines finish and
+/// runs the weighted merge after the last one. The weighted merge is
+/// deterministic in the union order, so canonical order is seed-for-seed
+/// reproducible across pools and transports.
 WeightedMatchingProtocolResult weighted_matching_protocol(
-    WeightedEdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
-    ThreadPool* pool = nullptr, double class_base = 2.0);
-
-/// Streaming variant: the coordinator unions the Crouch-Stubbs coresets as
-/// machines finish and runs the weighted merge after the last one. The
-/// weighted merge is deterministic in the union order, so canonical order
-/// is seed-for-seed identical to the barrier entry point.
-WeightedMatchingProtocolResult weighted_matching_protocol_streaming(
     WeightedEdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
     ThreadPool* pool = nullptr, double class_base = 2.0,
     const StreamingOptions& streaming = {});

@@ -9,9 +9,9 @@ namespace rcc {
 
 namespace {
 
-/// Weight-class geometry plus the machine phase shared by the barrier and
-/// streaming drivers: class(v) = floor(log2(w_v / w_min)), every machine
-/// builds one peeling summary per class of its shard.
+/// Weight-class geometry plus the machine phase of the weighted driver:
+/// class(v) = floor(log2(w_v / w_min)), every machine builds one peeling
+/// summary per class of its shard.
 struct WeightedVcPhases {
   const VertexWeights& weights;
   VertexId n;
@@ -111,36 +111,12 @@ WeightedVcProtocolResult to_weighted_vc_result(
 
 }  // namespace
 
-WeightedVcProtocolResult weighted_vc_protocol(EdgeSource graph,
-                                              const VertexWeights& weights,
-                                              std::size_t k, Rng& rng,
-                                              ThreadPool* pool) {
-  const WeightedVcPhases phases(graph, weights);
-
-  // Coordinator: fixed union, then weighted local-ratio on the residual —
-  // the barrier shape of WeightedVcStreamFold's absorb + finish.
-  const auto combine =
-      [&](std::vector<std::vector<VcCoresetOutput>>& summaries,
-          Rng& coordinator_rng) {
-        WeightedVcStreamFold fold(phases);
-        for (std::size_t i = 0; i < summaries.size(); ++i) {
-          fold.absorb(summaries[i], i);
-        }
-        return fold.finish(summaries, coordinator_rng);
-      };
-
-  return to_weighted_vc_result(
-      run_protocol(graph, k, /*left_size=*/0, rng, pool, phases.build(),
-                   &WeightedVcPhases::account, combine),
-      phases);
-}
-
-WeightedVcProtocolResult weighted_vc_protocol_streaming(
-    EdgeSource graph, const VertexWeights& weights, std::size_t k,
-    Rng& rng, ThreadPool* pool, const StreamingOptions& streaming) {
+WeightedVcProtocolResult weighted_vc_protocol(
+    EdgeSource graph, const VertexWeights& weights, std::size_t k, Rng& rng,
+    ThreadPool* pool, const StreamingOptions& streaming) {
   const WeightedVcPhases phases(graph, weights);
   WeightedVcStreamFold fold(phases);
-  auto engine_result = run_protocol_streaming<Edge>(
+  auto engine_result = run_protocol<Edge>(
       std::span<const Edge>(graph.edges().data(), graph.num_edges()),
       graph.num_vertices(), k, /*left_size=*/0, rng, pool, phases.build(),
       &WeightedVcPhases::account, fold, streaming);

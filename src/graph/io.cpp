@@ -1,9 +1,11 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -30,15 +32,24 @@ namespace {
 
 void write_edge_list(const EdgeList& edges, const std::string& path) {
   std::ofstream out(path);
-  RCC_CHECK(out.good());
+  if (!out.good()) {
+    io_fail("%s: cannot open for writing: %s", path.c_str(),
+            std::strerror(errno));
+  }
   out << edges.num_vertices() << ' ' << edges.num_edges() << '\n';
   for (const Edge& e : edges) out << e.u << ' ' << e.v << '\n';
-  RCC_CHECK(out.good());
+  out.flush();
+  if (!out.good()) {
+    io_fail("%s: write failed: %s", path.c_str(), std::strerror(errno));
+  }
 }
 
 EdgeList read_edge_list(const std::string& path) {
   std::ifstream in(path);
-  RCC_CHECK(in.good());
+  if (!in.good()) {
+    io_fail("%s: cannot open for reading: %s", path.c_str(),
+            std::strerror(errno));
+  }
   std::string line;
   std::size_t line_no = 0;
   auto next_data_line = [&]() -> bool {

@@ -11,7 +11,7 @@ namespace {
 
 /// Streaming-shaped round-combiner of the filtering baseline: absorb greedily
 /// extends the central matching with each machine's sample as it arrives
-/// (canonical order replays the barrier fold's in-order loop draw-for-draw),
+/// (canonical order extends in machine-id order, whatever the schedule),
 /// finish runs the broadcast-and-filter super-step. Absorb mutates only the
 /// coordinator's matching, which the sampling build phase never reads, so
 /// overlapping it with the machine phase is safe.

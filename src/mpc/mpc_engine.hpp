@@ -10,21 +10,24 @@
 //   per round:
 //     partition — the surviving edges are scattered by the sharded
 //                 single-arena partitioner (zero-copy shards),
-//     machines  — one summary task per machine on the thread pool via
-//                 run_protocol_on_pieces (forked RNG streams),
-//     combine   — a pluggable ROUND-COMBINER folds the k summaries into the
-//                 caller's cumulative solution and returns the edges that
-//                 survive into the next round.
+//     machines  — one summary task per machine on the thread pool (or one
+//                 worker process per machine) via run_protocol_on_pieces
+//                 (forked RNG streams),
+//     combine   — a pluggable ROUND-COMBINER absorbs the k summaries as
+//                 they land, then folds them into the caller's cumulative
+//                 solution and returns the edges that survive into the
+//                 next round.
 //
-// Instantiating the executor is the engine's three-lambda pattern with the
-// combine phase upgraded to a fold:
+// Instantiating the executor is the engine's pattern with a round-aware
+// streaming fold (StreamingRoundFold below):
 //
-//   build(piece, ctx, rng)      -> Summary     (unchanged from the engine)
-//   account(summary)            -> MessageSize (unchanged from the engine)
-//   fold(summaries, round, rng) -> EdgeList    survivors for the next round;
-//       `round` is an MpcRoundContext: the round's input edges, the round
-//       index, and ledger access for protocols that model extra super-steps
-//       (e.g. filtering's broadcast round).
+//   build(piece, ctx, rng)             -> Summary     (as in the engine)
+//   account(summary)                   -> MessageSize (as in the engine)
+//   fold.absorb(summary, machine, round)              one per machine
+//   fold.finish(summaries, round, rng) -> EdgeList    survivors for the next
+//       round; `round` is an MpcRoundContext: the round's input edges, the
+//       round index, and ledger access for protocols that model extra
+//       super-steps (e.g. filtering's broadcast round).
 //
 // Resources are accounted like the single-round simulator: every super-step
 // is declared on an MpcLedger, every machine's residency is charged against
@@ -33,8 +36,8 @@
 // returned MpcExecutionStats carries per-round communication words, phase
 // timings, and per-machine peak memory.
 //
-// coreset_mpc.cpp and filtering_mpc.cpp are the two in-tree instantiations;
-// the legacy single-round entry points are thin wrappers over them.
+// coreset_mpc.cpp, filtering_mpc.cpp, augmenting_rounds.cpp and
+// edcs_rounds.cpp are the four in-tree round-combiners.
 #pragma once
 
 #include <concepts>
@@ -79,17 +82,10 @@ struct MpcEngineConfig {
   /// fold requests it.
   bool early_stop = true;
 
-  /// Stream summaries into the round-combiner as machines finish instead of
-  /// folding after the collect barrier. Requires an absorb/finish fold (see
-  /// run_mpc_rounds); ignored for plain callable folds. Canonical order
-  /// preserves seed-for-seed equality with the barrier fold.
-  bool streaming_fold = false;
-
-  /// Absorb order + completion-queue capacity when streaming_fold is set,
-  /// plus the machine-phase transport: EngineTransport::kSocket forks one
-  /// worker process per machine each round and streams framed summaries
-  /// over loopback (requires a streaming-capable fold; takes the streaming
-  /// combine path even when streaming_fold is false).
+  /// Absorb order + completion-queue capacity of the round-combiner, plus
+  /// the machine-phase transport: EngineTransport::kSocket forks one worker
+  /// process per machine each round and streams framed summaries over
+  /// loopback; kShm does the same through shared-memory rings.
   StreamingOptions streaming;
 
   /// Charge every machine 2*|shard| words for holding its piece of the
@@ -256,11 +252,9 @@ struct MpcExecutionStats {
   std::vector<std::uint64_t> round_peak_words;  // parallel to round_labels
 };
 
-/// True for round-combiners written in the streaming shape: per-machine
-/// absorb plus an end-of-round finish. Such a fold can run behind the
-/// barrier (absorbed in index order after the collect — byte-identical to a
-/// plain callable fold that loops the summaries in order) or streamed
-/// through the engine's completion queue when config.streaming_fold is set.
+/// The round-combiner shape run_mpc_rounds takes: per-machine absorb plus an
+/// end-of-round finish, streamed through the engine's completion queue (in
+/// StreamingOrder::kCanonical, absorbed in machine-id order).
 template <typename Fold, typename Summary>
 concept StreamingRoundFold =
     requires(Fold& f, Summary& s, std::vector<Summary>& all,
@@ -278,14 +272,8 @@ concept StreamingRoundFold =
 /// the workspace double-buffers from round 1 on, so the source is never
 /// materialized in RAM.
 ///
-/// Two fold shapes are accepted:
-///   fold(summaries, round, rng) -> EdgeList        the plain callable fold
-///   fold.absorb(summary, machine, round)           streaming-capable fold;
-///   fold.finish(summaries, round, rng) -> EdgeList absorbed per machine
-/// Streaming-capable folds run through the engine's streaming combine path
-/// when config.streaming_fold is set (machine M's collect words are then
-/// charged per absorbed summary instead of all at once — same totals, same
-/// peaks) and behind the barrier otherwise.
+/// The fold is a StreamingRoundFold. Machine M is charged each summary's
+/// collect words as the summary is absorbed, before the fold sees it.
 template <typename Build, typename Account, typename Fold>
 MpcExecutionStats run_mpc_rounds(EdgeSource graph,
                                  const MpcEngineConfig& config,
@@ -325,20 +313,10 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
 
   using Summary = std::decay_t<std::invoke_result_t<
       const Build&, EdgeSpan, const PartitionContext&, Rng&>>;
-  constexpr bool streaming_capable =
-      StreamingRoundFold<std::remove_reference_t<Fold>, Summary>;
-  // The cross-process transports only exist behind the streaming combine
-  // path (frames arrive one at a time — there is no barrier to fold
-  // behind), so requesting one takes that path even without
-  // --engine-streaming; a plain callable fold cannot ride them.
-  const bool wants_socket =
-      config.streaming.transport == EngineTransport::kSocket;
-  const bool wants_shm = config.streaming.transport == EngineTransport::kShm;
-  if constexpr (!streaming_capable) {
-    RCC_CHECK(!(wants_socket || wants_shm) &&
-              "cross-process engine transports require a streaming-capable "
-              "round fold");
-  }
+  static_assert(StreamingRoundFold<std::remove_reference_t<Fold>, Summary>,
+                "run_mpc_rounds needs a round fold with absorb(summary, "
+                "machine, MpcRoundContext&) and finish(summaries, "
+                "MpcRoundContext&, Rng&) -> EdgeList");
   // Persistent ring workers: a round-invariant build hands the engine this
   // run's pool slot. The engine spawns the k machine processes into it
   // inside round 0 — after the first partition, so each worker's
@@ -354,7 +332,8 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
   // re-forks each round like the socket transport does.
   StreamingOptions streaming_opts = config.streaming;
   std::unique_ptr<ShmWorkerPool> shm_pool;
-  if (wants_shm && config.round_invariant_build) {
+  if (config.streaming.transport == EngineTransport::kShm &&
+      config.round_invariant_build) {
     streaming_opts.shm_pool = &shm_pool;
   }
 
@@ -389,56 +368,28 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
     }
 
     // Machine + combine phases on the ProtocolEngine. Machine M is charged
-    // for the collected summaries before the fold's processing runs (and
-    // before any super-step the fold opens), mirroring the coreset round's
-    // "send everything to M" collect; the streaming path charges each
-    // summary as it is absorbed — same totals, same per-round peaks.
+    // each collected summary's words as it is absorbed — before the fold's
+    // processing runs and before any super-step the fold opens — mirroring
+    // the coreset round's "send everything to M" collect.
     spare.reset(n);  // cleared, capacity retained from two rounds ago
     MpcRoundContext round_ctx(
         ledger, EdgeSpan(parts.arena().data(), parts.num_edges(), n), r,
         config.max_rounds, &ws, &spare);
-    const auto run_round = [&] {
-      if constexpr (streaming_capable) {
-        if (config.streaming_fold || wants_socket || wants_shm) {
-          struct RoundStreamAdapter {
-            std::remove_reference_t<Fold>& fold;
-            MpcRoundContext& ctx;
-            MpcLedger& ledger;
-            void absorb(Summary& s, std::size_t machine,
-                        const MessageSize& cost) {
-              ledger.charge(0, cost.words());
-              fold.absorb(s, machine, ctx);
-            }
-            EdgeList finish(std::vector<Summary>& all, Rng& rng) {
-              return fold.finish(all, ctx, rng);
-            }
-          } adapter{fold, round_ctx, ledger};
-          return run_protocol_streaming_on_pieces<Edge>(
-              pieces_of(parts), n, left_size, rng, pool, build, account,
-              adapter, streaming_opts, &ws);
-        }
+    struct RoundStreamAdapter {
+      std::remove_reference_t<Fold>& fold;
+      MpcRoundContext& ctx;
+      MpcLedger& ledger;
+      void absorb(Summary& s, std::size_t machine, const MessageSize& cost) {
+        ledger.charge(0, cost.words());
+        fold.absorb(s, machine, ctx);
       }
-      return run_protocol_on_pieces<Edge>(
-          pieces_of(parts), n, left_size, rng, pool, build, account,
-          [&](auto& summaries, Rng& coordinator_rng) {
-            // account is a pure cost function (the engine already evaluated
-            // it into comm.per_machine); re-summing here keeps the barrier
-            // fold's contract independent of the engine result's layout.
-            std::uint64_t collected = 0;
-            for (const auto& s : summaries) collected += account(s).words();
-            ledger.charge(0, collected);
-            if constexpr (streaming_capable) {
-              for (std::size_t i = 0; i < summaries.size(); ++i) {
-                fold.absorb(summaries[i], i, round_ctx);
-              }
-              return fold.finish(summaries, round_ctx, coordinator_rng);
-            } else {
-              return fold(summaries, round_ctx, coordinator_rng);
-            }
-          },
-          &ws);
-    };
-    auto result = run_round();
+      EdgeList finish(std::vector<Summary>& all, Rng& rng) {
+        return fold.finish(all, ctx, rng);
+      }
+    } adapter{fold, round_ctx, ledger};
+    auto result = run_protocol_on_pieces<Edge>(pieces_of(parts), n, left_size,
+                                               rng, pool, build, account,
+                                               adapter, streaming_opts, &ws);
     result.timing.partition_seconds = partition_seconds;
 
     const std::size_t active = input.num_edges();
@@ -512,8 +463,10 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
 ///   --mpc-random-input   input already randomly partitioned (skips the
 ///                        re-partition round)
 ///   --mpc-early-stop     stop when a round makes no progress
-/// plus the engine streaming knobs (add_streaming_flags):
-///   --engine-streaming / --engine-streaming-order / --engine-queue-capacity
+/// plus the engine streaming and transport knobs (add_streaming_flags):
+///   --engine-streaming-order / --engine-queue-capacity / --engine-transport
+///   / --engine-transport-port / --engine-transport-timeout-ms
+///   / --engine-shm-ring-bytes
 void add_mpc_engine_flags(Options& options);
 
 /// Reads the knobs registered by add_mpc_engine_flags back into a config for

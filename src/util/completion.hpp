@@ -5,8 +5,8 @@
 // matter in which order machine summaries COMPLETE (thread scheduling for the
 // in-process CompletionQueue, frame arrival for the loopback socket
 // transport), StreamingOrder::kCanonical absorbs them in ascending machine-id
-// order, so a streamed run consumes the coordinator's RNG and mutates the
-// fold draw-for-draw like the barrier fold. CanonicalReorder is that reorder
+// order, so every run consumes the coordinator's RNG and mutates the fold
+// draw-for-draw the same way. CanonicalReorder is that reorder
 // buffer, factored out of the engine so the in-process queue and the
 // cross-process frame collector release ids through the SAME code — the
 // seed-for-seed differential between the two transports then tests the

@@ -2,14 +2,14 @@
 // (distributed/socket_transport.hpp, distributed/shm_transport.hpp + the
 // kSocket/kShm branches of distributed/protocol_engine.hpp):
 //
-//   (a) both multi-process backends must be seed-for-seed IDENTICAL to
-//       both the in-process barrier and in-process canonical streaming —
-//       exact solutions, word-exact communication ledgers, per-machine
+//   (a) both multi-process backends must be seed-for-seed IDENTICAL to the
+//       in-process run in canonical order — exact solutions, word-exact
+//       communication ledgers, per-machine
 //       summary sizes, round counts, and the caller's RNG stream position —
 //       across a generator x seed x k grid for every single-round protocol
 //       driver (matching, VC, grouped VC, both weighted drivers) and every
-//       streaming-capable multi-round combiner (coreset matching, coreset
-//       VC, filtering, augmenting, EDCS),
+//       multi-round combiner (coreset matching, coreset VC, filtering,
+//       augmenting, EDCS),
 //   (b) transport telemetry reports what actually crossed the process
 //       boundary: k frames, framed bytes >= k headers (byte-identical
 //       between socket and shm — same summary_wire frames), kInproc
@@ -104,36 +104,31 @@ TEST(DistributedTransport, MatchingProtocolMatchesInprocSeedForSeed) {
         gnp(300, 5.0 / 300, gen), random_bipartite(80, 100, 0.06, gen)};
     for (const EdgeList& el : instances) {
       for (const std::size_t k : {4u, 7u}) {
-        Rng barrier_rng(seed);
-        const MatchingProtocolResult barrier = run_matching_protocol(
-            el, k, coreset, ComposeSolver::kMaximum, 0, barrier_rng);
         Rng inproc_rng(seed);
-        const MatchingProtocolResult inproc = run_matching_protocol_streaming(
+        const MatchingProtocolResult inproc = run_matching_protocol(
             el, k, coreset, ComposeSolver::kMaximum, 0, inproc_rng);
         Rng socket_rng(seed);
-        const MatchingProtocolResult socket = run_matching_protocol_streaming(
+        const MatchingProtocolResult socket = run_matching_protocol(
             el, k, coreset, ComposeSolver::kMaximum, 0, socket_rng,
             /*pool=*/nullptr, socket_options());
         Rng shm_rng(seed);
-        const MatchingProtocolResult shm = run_matching_protocol_streaming(
+        const MatchingProtocolResult shm = run_matching_protocol(
             el, k, coreset, ComposeSolver::kMaximum, 0, shm_rng,
             /*pool=*/nullptr, shm_options());
 
-        EXPECT_EQ(sorted_edges(barrier.solution), sorted_edges(socket.solution))
+        EXPECT_EQ(sorted_edges(inproc.solution), sorted_edges(socket.solution))
             << "seed=" << seed << " k=" << k;
-        EXPECT_EQ(sorted_edges(inproc.solution), sorted_edges(socket.solution));
-        EXPECT_EQ(sorted_edges(barrier.solution), sorted_edges(shm.solution));
-        EXPECT_EQ(barrier.comm.total_words(), socket.comm.total_words());
-        EXPECT_EQ(barrier.comm.total_words(), shm.comm.total_words());
-        ASSERT_EQ(barrier.summaries.size(), socket.summaries.size());
-        ASSERT_EQ(barrier.summaries.size(), shm.summaries.size());
+        EXPECT_EQ(sorted_edges(inproc.solution), sorted_edges(shm.solution));
+        EXPECT_EQ(inproc.comm.total_words(), socket.comm.total_words());
+        EXPECT_EQ(inproc.comm.total_words(), shm.comm.total_words());
+        ASSERT_EQ(inproc.summaries.size(), socket.summaries.size());
+        ASSERT_EQ(inproc.summaries.size(), shm.summaries.size());
         for (std::size_t i = 0; i < k; ++i) {
-          EXPECT_EQ(barrier.summaries[i].edges(), socket.summaries[i].edges());
-          EXPECT_EQ(barrier.summaries[i].edges(), shm.summaries[i].edges());
+          EXPECT_EQ(inproc.summaries[i].edges(), socket.summaries[i].edges());
+          EXPECT_EQ(inproc.summaries[i].edges(), shm.summaries[i].edges());
         }
-        // All four paths leave the caller's RNG at one stream position.
-        const std::uint64_t expected = barrier_rng.next_u64();
-        EXPECT_EQ(expected, inproc_rng.next_u64());
+        // All three paths leave the caller's RNG at one stream position.
+        const std::uint64_t expected = inproc_rng.next_u64();
         EXPECT_EQ(expected, socket_rng.next_u64());
         EXPECT_EQ(expected, shm_rng.next_u64());
 
@@ -153,34 +148,34 @@ TEST(DistributedTransport, VcProtocolMatchesInprocSeedForSeed) {
     Rng gen(seed);
     const EdgeList el = gnp(250, 6.0 / 250, gen);
     for (const std::size_t k : {4u, 6u}) {
-      Rng barrier_rng(seed);
-      const VcProtocolResult barrier =
-          run_vc_protocol(el, k, coreset, barrier_rng);
+      Rng inproc_rng(seed);
+      const VcProtocolResult inproc =
+          run_vc_protocol(el, k, coreset, inproc_rng);
       Rng socket_rng(seed);
-      const VcProtocolResult socket = run_vc_protocol_streaming(
+      const VcProtocolResult socket = run_vc_protocol(
           el, k, coreset, socket_rng, /*pool=*/nullptr, socket_options());
       Rng shm_rng(seed);
-      const VcProtocolResult shm = run_vc_protocol_streaming(
+      const VcProtocolResult shm = run_vc_protocol(
           el, k, coreset, shm_rng, /*pool=*/nullptr, shm_options());
 
-      EXPECT_EQ(barrier.solution.vertices(), socket.solution.vertices())
+      EXPECT_EQ(inproc.solution.vertices(), socket.solution.vertices())
           << "seed=" << seed << " k=" << k;
-      EXPECT_EQ(barrier.solution.vertices(), shm.solution.vertices());
-      EXPECT_EQ(barrier.comm.total_words(), socket.comm.total_words());
-      EXPECT_EQ(barrier.comm.total_words(), shm.comm.total_words());
-      ASSERT_EQ(barrier.summaries.size(), socket.summaries.size());
-      ASSERT_EQ(barrier.summaries.size(), shm.summaries.size());
+      EXPECT_EQ(inproc.solution.vertices(), shm.solution.vertices());
+      EXPECT_EQ(inproc.comm.total_words(), socket.comm.total_words());
+      EXPECT_EQ(inproc.comm.total_words(), shm.comm.total_words());
+      ASSERT_EQ(inproc.summaries.size(), socket.summaries.size());
+      ASSERT_EQ(inproc.summaries.size(), shm.summaries.size());
       for (std::size_t i = 0; i < k; ++i) {
-        EXPECT_EQ(barrier.summaries[i].residual_edges.edges(),
+        EXPECT_EQ(inproc.summaries[i].residual_edges.edges(),
                   socket.summaries[i].residual_edges.edges());
-        EXPECT_EQ(barrier.summaries[i].fixed_vertices,
+        EXPECT_EQ(inproc.summaries[i].fixed_vertices,
                   socket.summaries[i].fixed_vertices);
-        EXPECT_EQ(barrier.summaries[i].residual_edges.edges(),
+        EXPECT_EQ(inproc.summaries[i].residual_edges.edges(),
                   shm.summaries[i].residual_edges.edges());
-        EXPECT_EQ(barrier.summaries[i].fixed_vertices,
+        EXPECT_EQ(inproc.summaries[i].fixed_vertices,
                   shm.summaries[i].fixed_vertices);
       }
-      const std::uint64_t expected = barrier_rng.next_u64();
+      const std::uint64_t expected = inproc_rng.next_u64();
       EXPECT_EQ(expected, socket_rng.next_u64());
       EXPECT_EQ(expected, shm_rng.next_u64());
       expect_socket_telemetry(socket, k);
@@ -197,37 +192,32 @@ TEST(DistributedTransport, GroupedVcProtocolMatchesInprocSeedForSeed) {
     const EdgeList el = gnp(240, 6.0 / 240, gen);
     for (const std::size_t k : {4u, 6u}) {
       for (const double alpha : {26.0, 96.0}) {
-        Rng barrier_rng(seed);
-        const GroupedVcProtocolResult barrier =
-            grouped_vc_protocol(el, k, alpha, barrier_rng);
         Rng inproc_rng(seed);
         const GroupedVcProtocolResult inproc =
-            grouped_vc_protocol_streaming(el, k, alpha, inproc_rng);
+            grouped_vc_protocol(el, k, alpha, inproc_rng);
         Rng socket_rng(seed);
-        const GroupedVcProtocolResult socket = grouped_vc_protocol_streaming(
+        const GroupedVcProtocolResult socket = grouped_vc_protocol(
             el, k, alpha, socket_rng, /*pool=*/nullptr, socket_options());
         Rng shm_rng(seed);
-        const GroupedVcProtocolResult shm = grouped_vc_protocol_streaming(
+        const GroupedVcProtocolResult shm = grouped_vc_protocol(
             el, k, alpha, shm_rng, /*pool=*/nullptr, shm_options());
 
-        EXPECT_EQ(barrier.solution.vertices(), socket.solution.vertices())
+        EXPECT_EQ(inproc.solution.vertices(), socket.solution.vertices())
             << "seed=" << seed << " k=" << k << " alpha=" << alpha;
-        EXPECT_EQ(inproc.solution.vertices(), socket.solution.vertices());
-        EXPECT_EQ(barrier.solution.vertices(), shm.solution.vertices());
-        EXPECT_EQ(barrier.comm.total_words(), socket.comm.total_words());
-        EXPECT_EQ(barrier.comm.total_words(), shm.comm.total_words());
-        ASSERT_EQ(barrier.summaries.size(), socket.summaries.size());
-        ASSERT_EQ(barrier.summaries.size(), shm.summaries.size());
+        EXPECT_EQ(inproc.solution.vertices(), shm.solution.vertices());
+        EXPECT_EQ(inproc.comm.total_words(), socket.comm.total_words());
+        EXPECT_EQ(inproc.comm.total_words(), shm.comm.total_words());
+        ASSERT_EQ(inproc.summaries.size(), socket.summaries.size());
+        ASSERT_EQ(inproc.summaries.size(), shm.summaries.size());
         for (std::size_t i = 0; i < k; ++i) {
           // Both folds move the core out of the retained summary; the pinned
           // groups stay behind and must have crossed the wire intact.
-          EXPECT_EQ(barrier.summaries[i].pinned_groups,
+          EXPECT_EQ(inproc.summaries[i].pinned_groups,
                     socket.summaries[i].pinned_groups);
-          EXPECT_EQ(barrier.summaries[i].pinned_groups,
+          EXPECT_EQ(inproc.summaries[i].pinned_groups,
                     shm.summaries[i].pinned_groups);
         }
-        const std::uint64_t expected = barrier_rng.next_u64();
-        EXPECT_EQ(expected, inproc_rng.next_u64());
+        const std::uint64_t expected = inproc_rng.next_u64();
         EXPECT_EQ(expected, socket_rng.next_u64());
         EXPECT_EQ(expected, shm_rng.next_u64());
         expect_socket_telemetry(socket, k);
@@ -250,31 +240,27 @@ TEST(DistributedTransport, WeightedDriversMatchInprocSeedForSeed) {
     }
     constexpr std::size_t k = 5;
 
-    Rng barrier_rng(seed);
-    const WeightedMatchingProtocolResult barrier =
-        weighted_matching_protocol(w, k, 0, barrier_rng);
+    Rng inproc_rng(seed);
+    const WeightedMatchingProtocolResult inproc =
+        weighted_matching_protocol(w, k, 0, inproc_rng);
     Rng socket_rng(seed);
     const WeightedMatchingProtocolResult socket =
-        weighted_matching_protocol_streaming(w, k, 0, socket_rng,
-                                             /*pool=*/nullptr,
-                                             /*class_base=*/2.0,
-                                             socket_options());
+        weighted_matching_protocol(w, k, 0, socket_rng, /*pool=*/nullptr,
+                                   /*class_base=*/2.0, socket_options());
     Rng shm_rng(seed);
     const WeightedMatchingProtocolResult shm =
-        weighted_matching_protocol_streaming(w, k, 0, shm_rng,
-                                             /*pool=*/nullptr,
-                                             /*class_base=*/2.0,
-                                             shm_options());
-    EXPECT_EQ(sorted_edges(barrier.solution), sorted_edges(socket.solution));
-    EXPECT_EQ(sorted_edges(barrier.solution), sorted_edges(shm.solution));
-    EXPECT_EQ(barrier.matching_weight, socket.matching_weight)
+        weighted_matching_protocol(w, k, 0, shm_rng, /*pool=*/nullptr,
+                                   /*class_base=*/2.0, shm_options());
+    EXPECT_EQ(sorted_edges(inproc.solution), sorted_edges(socket.solution));
+    EXPECT_EQ(sorted_edges(inproc.solution), sorted_edges(shm.solution));
+    EXPECT_EQ(inproc.matching_weight, socket.matching_weight)
         << "weights must cross the wire bit-exactly";
-    EXPECT_EQ(barrier.matching_weight, shm.matching_weight);
-    EXPECT_EQ(barrier.comm.total_words(), socket.comm.total_words());
-    EXPECT_EQ(barrier.comm.total_words(), shm.comm.total_words());
-    EXPECT_EQ(barrier.max_classes_per_machine, socket.max_classes_per_machine);
-    EXPECT_EQ(barrier.max_classes_per_machine, shm.max_classes_per_machine);
-    const std::uint64_t expected = barrier_rng.next_u64();
+    EXPECT_EQ(inproc.matching_weight, shm.matching_weight);
+    EXPECT_EQ(inproc.comm.total_words(), socket.comm.total_words());
+    EXPECT_EQ(inproc.comm.total_words(), shm.comm.total_words());
+    EXPECT_EQ(inproc.max_classes_per_machine, socket.max_classes_per_machine);
+    EXPECT_EQ(inproc.max_classes_per_machine, shm.max_classes_per_machine);
+    const std::uint64_t expected = inproc_rng.next_u64();
     EXPECT_EQ(expected, socket_rng.next_u64());
     EXPECT_EQ(expected, shm_rng.next_u64());
     expect_socket_telemetry(socket, k);
@@ -283,22 +269,22 @@ TEST(DistributedTransport, WeightedDriversMatchInprocSeedForSeed) {
     const EdgeList el = gnp(180, 0.05, gen);
     VertexWeights weights(el.num_vertices());
     for (double& x : weights) x = gen.uniform_real(1.0, 64.0);
-    Rng vc_barrier_rng(seed);
-    const WeightedVcProtocolResult vc_barrier =
-        weighted_vc_protocol(el, weights, k, vc_barrier_rng);
+    Rng vc_inproc_rng(seed);
+    const WeightedVcProtocolResult vc_inproc =
+        weighted_vc_protocol(el, weights, k, vc_inproc_rng);
     Rng vc_socket_rng(seed);
-    const WeightedVcProtocolResult vc_socket = weighted_vc_protocol_streaming(
+    const WeightedVcProtocolResult vc_socket = weighted_vc_protocol(
         el, weights, k, vc_socket_rng, /*pool=*/nullptr, socket_options());
     Rng vc_shm_rng(seed);
-    const WeightedVcProtocolResult vc_shm = weighted_vc_protocol_streaming(
+    const WeightedVcProtocolResult vc_shm = weighted_vc_protocol(
         el, weights, k, vc_shm_rng, /*pool=*/nullptr, shm_options());
-    EXPECT_EQ(vc_barrier.solution.vertices(), vc_socket.solution.vertices());
-    EXPECT_EQ(vc_barrier.solution.vertices(), vc_shm.solution.vertices());
-    EXPECT_EQ(vc_barrier.cover_cost, vc_socket.cover_cost);
-    EXPECT_EQ(vc_barrier.cover_cost, vc_shm.cover_cost);
-    EXPECT_EQ(vc_barrier.weight_classes, vc_socket.weight_classes);
-    EXPECT_EQ(vc_barrier.weight_classes, vc_shm.weight_classes);
-    const std::uint64_t vc_expected = vc_barrier_rng.next_u64();
+    EXPECT_EQ(vc_inproc.solution.vertices(), vc_socket.solution.vertices());
+    EXPECT_EQ(vc_inproc.solution.vertices(), vc_shm.solution.vertices());
+    EXPECT_EQ(vc_inproc.cover_cost, vc_socket.cover_cost);
+    EXPECT_EQ(vc_inproc.cover_cost, vc_shm.cover_cost);
+    EXPECT_EQ(vc_inproc.weight_classes, vc_socket.weight_classes);
+    EXPECT_EQ(vc_inproc.weight_classes, vc_shm.weight_classes);
+    const std::uint64_t vc_expected = vc_inproc_rng.next_u64();
     EXPECT_EQ(vc_expected, vc_socket_rng.next_u64());
     EXPECT_EQ(vc_expected, vc_shm_rng.next_u64());
     expect_socket_telemetry(vc_socket, k);
@@ -308,7 +294,7 @@ TEST(DistributedTransport, WeightedDriversMatchInprocSeedForSeed) {
 
 // ---------------------------------------------------------------------------
 // Multi-round combiners through run_mpc_rounds: requesting a cross-process
-// transport must replay the in-process barrier word for word, round for
+// transport must replay the in-process run word for word, round for
 // round. The socket path forks fresh workers every round; the shm path
 // serves round-invariant builds (coreset matching/VC, EDCS) from ONE
 // persistent worker pool — worker_forks == k for the whole run, pieces
@@ -336,19 +322,19 @@ MpcEngineConfig shm_config(const EdgeList& graph, std::size_t max_rounds,
   return config;
 }
 
-void expect_same_rounds(const MpcExecutionStats& barrier,
+void expect_same_rounds(const MpcExecutionStats& inproc,
                         const MpcExecutionStats& socket) {
-  EXPECT_EQ(barrier.mpc_rounds, socket.mpc_rounds);
-  EXPECT_EQ(barrier.engine_rounds, socket.engine_rounds);
-  EXPECT_EQ(barrier.total_comm_words, socket.total_comm_words);
-  ASSERT_EQ(barrier.per_round.size(), socket.per_round.size());
-  for (std::size_t i = 0; i < barrier.per_round.size(); ++i) {
-    EXPECT_EQ(barrier.per_round[i].comm_words, socket.per_round[i].comm_words)
+  EXPECT_EQ(inproc.mpc_rounds, socket.mpc_rounds);
+  EXPECT_EQ(inproc.engine_rounds, socket.engine_rounds);
+  EXPECT_EQ(inproc.total_comm_words, socket.total_comm_words);
+  ASSERT_EQ(inproc.per_round.size(), socket.per_round.size());
+  for (std::size_t i = 0; i < inproc.per_round.size(); ++i) {
+    EXPECT_EQ(inproc.per_round[i].comm_words, socket.per_round[i].comm_words)
         << "round " << i;
-    EXPECT_EQ(barrier.per_round[i].active_edges,
+    EXPECT_EQ(inproc.per_round[i].active_edges,
               socket.per_round[i].active_edges)
         << "round " << i;
-    EXPECT_EQ(barrier.per_round[i].surviving_edges,
+    EXPECT_EQ(inproc.per_round[i].surviving_edges,
               socket.per_round[i].surviving_edges)
         << "round " << i;
   }
@@ -416,22 +402,22 @@ TEST(DistributedTransport, CoresetMatchingRoundsMatchOverSocketAndShm) {
     Rng gen(seed);
     const EdgeList el = gnp(400, 5.0 / 400, gen);
     const std::size_t k = base_config(el, 3).mpc.num_machines;
-    Rng barrier_rng(seed);
-    const CoresetMpcMatchingResult barrier = coreset_mpc_matching_rounds(
-        el, base_config(el, 3), 0, barrier_rng);
+    Rng inproc_rng(seed);
+    const CoresetMpcMatchingResult inproc = coreset_mpc_matching_rounds(
+        el, base_config(el, 3), 0, inproc_rng);
     Rng socket_rng(seed);
     const CoresetMpcMatchingResult socket = coreset_mpc_matching_rounds(
         el, socket_config(el, 3), 0, socket_rng);
     Rng shm_rng(seed);
     const CoresetMpcMatchingResult shm = coreset_mpc_matching_rounds(
         el, shm_config(el, 3), 0, shm_rng);
-    EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(socket.matching));
-    EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(shm.matching));
-    EXPECT_EQ(barrier.rounds, socket.rounds);
-    EXPECT_EQ(barrier.rounds, shm.rounds);
-    expect_same_rounds(barrier.stats, socket.stats);
-    expect_same_rounds(barrier.stats, shm.stats);
-    const std::uint64_t expected = barrier_rng.next_u64();
+    EXPECT_EQ(sorted_edges(inproc.matching), sorted_edges(socket.matching));
+    EXPECT_EQ(sorted_edges(inproc.matching), sorted_edges(shm.matching));
+    EXPECT_EQ(inproc.rounds, socket.rounds);
+    EXPECT_EQ(inproc.rounds, shm.rounds);
+    expect_same_rounds(inproc.stats, socket.stats);
+    expect_same_rounds(inproc.stats, shm.stats);
+    const std::uint64_t expected = inproc_rng.next_u64();
     EXPECT_EQ(expected, socket_rng.next_u64());
     EXPECT_EQ(expected, shm_rng.next_u64());
     expect_persistent_pool(shm.stats, socket.stats, k);
@@ -447,19 +433,19 @@ TEST(DistributedTransport, PersistentPoolAmortizesForksOverFiveRounds) {
   Rng gen(36);
   const EdgeList el = gnp(300, 6.0 / 300, gen);
   const std::size_t k = base_config(el, kRounds).mpc.num_machines;
-  Rng barrier_rng(36);
-  const MpcExecutionStats barrier =
-      run_recirculating_rounds(el, base_config(el, kRounds), barrier_rng);
+  Rng inproc_rng(36);
+  const MpcExecutionStats inproc =
+      run_recirculating_rounds(el, base_config(el, kRounds), inproc_rng);
   Rng socket_rng(36);
   const MpcExecutionStats socket =
       run_recirculating_rounds(el, socket_config(el, kRounds), socket_rng);
   Rng shm_rng(36);
   const MpcExecutionStats shm =
       run_recirculating_rounds(el, shm_config(el, kRounds), shm_rng);
-  ASSERT_EQ(barrier.engine_rounds, kRounds);
-  expect_same_rounds(barrier, socket);
-  expect_same_rounds(barrier, shm);
-  const std::uint64_t expected = barrier_rng.next_u64();
+  ASSERT_EQ(inproc.engine_rounds, kRounds);
+  expect_same_rounds(inproc, socket);
+  expect_same_rounds(inproc, shm);
+  const std::uint64_t expected = inproc_rng.next_u64();
   EXPECT_EQ(expected, socket_rng.next_u64());
   EXPECT_EQ(expected, shm_rng.next_u64());
   EXPECT_EQ(shm.worker_forks, k);               // one fork per run
@@ -471,20 +457,20 @@ TEST(DistributedTransport, PersistentPoolAmortizesForksOverFiveRounds) {
 TEST(DistributedTransport, CoresetMatchingRoundsSurviveTinyUplinkRings) {
   // 512-byte rings against multi-KB summary frames: the coreset run's
   // uplink chunks dozens of handoffs per frame and must still replay the
-  // barrier exactly. (Its round-0 piece rides the pool fork, so this leg
-  // exercises the uplink; the recirculating test below covers the
+  // in-process run exactly. (Its round-0 piece rides the pool fork, so this
+  // leg exercises the uplink; the recirculating test below covers the
   // downlink.)
   Rng gen(11);
   const EdgeList el = gnp(400, 5.0 / 400, gen);
-  Rng barrier_rng(11);
-  const CoresetMpcMatchingResult barrier =
-      coreset_mpc_matching_rounds(el, base_config(el, 3), 0, barrier_rng);
+  Rng inproc_rng(11);
+  const CoresetMpcMatchingResult inproc =
+      coreset_mpc_matching_rounds(el, base_config(el, 3), 0, inproc_rng);
   Rng shm_rng(11);
   const CoresetMpcMatchingResult shm = coreset_mpc_matching_rounds(
       el, shm_config(el, 3, /*ring_bytes=*/512), 0, shm_rng);
-  EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(shm.matching));
-  expect_same_rounds(barrier.stats, shm.stats);
-  EXPECT_EQ(barrier_rng.next_u64(), shm_rng.next_u64());
+  EXPECT_EQ(sorted_edges(inproc.matching), sorted_edges(shm.matching));
+  expect_same_rounds(inproc.stats, shm.stats);
+  EXPECT_EQ(inproc_rng.next_u64(), shm_rng.next_u64());
 }
 
 TEST(DistributedTransport, RecirculatingRoundsSurviveTinyDownlinkRings) {
@@ -493,19 +479,19 @@ TEST(DistributedTransport, RecirculatingRoundsSurviveTinyDownlinkRings) {
   // pins four engine rounds against 512-byte rings: rounds 1-3 each ship
   // every machine's multi-KB piece through dozens of chunked ring handoffs
   // (prefix and body written back to back), and every summary chunks back
-  // up — all of it must replay the barrier exactly.
+  // up — all of it must replay the in-process run exactly.
   constexpr std::size_t kRounds = 4;
   Rng gen(11);
   const EdgeList el = gnp(400, 5.0 / 400, gen);
-  Rng barrier_rng(11);
-  const MpcExecutionStats barrier =
-      run_recirculating_rounds(el, base_config(el, kRounds), barrier_rng);
+  Rng inproc_rng(11);
+  const MpcExecutionStats inproc =
+      run_recirculating_rounds(el, base_config(el, kRounds), inproc_rng);
   Rng shm_rng(11);
   const MpcExecutionStats shm = run_recirculating_rounds(
       el, shm_config(el, kRounds, /*ring_bytes=*/512), shm_rng);
-  ASSERT_EQ(barrier.engine_rounds, kRounds);
-  expect_same_rounds(barrier, shm);
-  EXPECT_EQ(barrier_rng.next_u64(), shm_rng.next_u64());
+  ASSERT_EQ(inproc.engine_rounds, kRounds);
+  expect_same_rounds(inproc, shm);
+  EXPECT_EQ(inproc_rng.next_u64(), shm_rng.next_u64());
   // Rounds 1-3 shipped real pieces: well beyond the four 72-byte control
   // frames a fork-served run would count.
   EXPECT_GT(shm.transport_piece_bytes,
@@ -517,22 +503,22 @@ TEST(DistributedTransport, CoresetVcRoundsMatchOverSocketAndShm) {
     Rng gen(seed);
     const EdgeList el = gnp(350, 6.0 / 350, gen);
     const std::size_t k = base_config(el, 3).mpc.num_machines;
-    Rng barrier_rng(seed);
-    const CoresetMpcVcResult barrier =
-        coreset_mpc_vertex_cover_rounds(el, base_config(el, 3), barrier_rng);
+    Rng inproc_rng(seed);
+    const CoresetMpcVcResult inproc =
+        coreset_mpc_vertex_cover_rounds(el, base_config(el, 3), inproc_rng);
     Rng socket_rng(seed);
     const CoresetMpcVcResult socket =
         coreset_mpc_vertex_cover_rounds(el, socket_config(el, 3), socket_rng);
     Rng shm_rng(seed);
     const CoresetMpcVcResult shm =
         coreset_mpc_vertex_cover_rounds(el, shm_config(el, 3), shm_rng);
-    EXPECT_EQ(barrier.cover.vertices(), socket.cover.vertices());
-    EXPECT_EQ(barrier.cover.vertices(), shm.cover.vertices());
-    EXPECT_EQ(barrier.rounds, socket.rounds);
-    EXPECT_EQ(barrier.rounds, shm.rounds);
-    expect_same_rounds(barrier.stats, socket.stats);
-    expect_same_rounds(barrier.stats, shm.stats);
-    const std::uint64_t expected = barrier_rng.next_u64();
+    EXPECT_EQ(inproc.cover.vertices(), socket.cover.vertices());
+    EXPECT_EQ(inproc.cover.vertices(), shm.cover.vertices());
+    EXPECT_EQ(inproc.rounds, socket.rounds);
+    EXPECT_EQ(inproc.rounds, shm.rounds);
+    expect_same_rounds(inproc.stats, socket.stats);
+    expect_same_rounds(inproc.stats, shm.stats);
+    const std::uint64_t expected = inproc_rng.next_u64();
     EXPECT_EQ(expected, socket_rng.next_u64());
     EXPECT_EQ(expected, shm_rng.next_u64());
     expect_persistent_pool(shm.stats, socket.stats, k);
@@ -544,26 +530,26 @@ TEST(DistributedTransport, FilteringRoundsMatchOverSocketAndShm) {
     Rng gen(seed);
     const EdgeList el = gnp(300, 0.06, gen);
     const std::size_t k = base_config(el, 12).mpc.num_machines;
-    Rng barrier_rng(seed);
-    const FilteringMpcResult barrier =
-        filtering_mpc_rounds(el, base_config(el, 12), barrier_rng);
+    Rng inproc_rng(seed);
+    const FilteringMpcResult inproc =
+        filtering_mpc_rounds(el, base_config(el, 12), inproc_rng);
     Rng socket_rng(seed);
     const FilteringMpcResult socket =
         filtering_mpc_rounds(el, socket_config(el, 12), socket_rng);
     Rng shm_rng(seed);
     const FilteringMpcResult shm =
         filtering_mpc_rounds(el, shm_config(el, 12), shm_rng);
-    EXPECT_EQ(sorted_edges(barrier.maximal_matching),
+    EXPECT_EQ(sorted_edges(inproc.maximal_matching),
               sorted_edges(socket.maximal_matching));
-    EXPECT_EQ(sorted_edges(barrier.maximal_matching),
+    EXPECT_EQ(sorted_edges(inproc.maximal_matching),
               sorted_edges(shm.maximal_matching));
-    EXPECT_EQ(barrier.cover.vertices(), socket.cover.vertices());
-    EXPECT_EQ(barrier.cover.vertices(), shm.cover.vertices());
-    EXPECT_EQ(barrier.filter_iterations, socket.filter_iterations);
-    EXPECT_EQ(barrier.filter_iterations, shm.filter_iterations);
-    expect_same_rounds(barrier.stats, socket.stats);
-    expect_same_rounds(barrier.stats, shm.stats);
-    const std::uint64_t expected = barrier_rng.next_u64();
+    EXPECT_EQ(inproc.cover.vertices(), socket.cover.vertices());
+    EXPECT_EQ(inproc.cover.vertices(), shm.cover.vertices());
+    EXPECT_EQ(inproc.filter_iterations, socket.filter_iterations);
+    EXPECT_EQ(inproc.filter_iterations, shm.filter_iterations);
+    expect_same_rounds(inproc.stats, socket.stats);
+    expect_same_rounds(inproc.stats, shm.stats);
+    const std::uint64_t expected = inproc_rng.next_u64();
     EXPECT_EQ(expected, socket_rng.next_u64());
     EXPECT_EQ(expected, shm_rng.next_u64());
     // The filtering build reads the coordinator's evolving sample rate, so
@@ -578,24 +564,24 @@ TEST(DistributedTransport, AugmentingRoundsMatchOverSocketAndShm) {
     Rng gen(seed);
     const EdgeList el = gnp(260, 5.0 / 260, gen);
     const std::size_t k = base_config(el, 20).mpc.num_machines;
-    Rng barrier_rng(seed);
-    const AugmentingMpcResult barrier = run_matching_rounds_augmenting(
-        el, base_config(el, 20), aug, 0, barrier_rng);
+    Rng inproc_rng(seed);
+    const AugmentingMpcResult inproc = run_matching_rounds_augmenting(
+        el, base_config(el, 20), aug, 0, inproc_rng);
     Rng socket_rng(seed);
     const AugmentingMpcResult socket = run_matching_rounds_augmenting(
         el, socket_config(el, 20), aug, 0, socket_rng);
     Rng shm_rng(seed);
     const AugmentingMpcResult shm = run_matching_rounds_augmenting(
         el, shm_config(el, 20), aug, 0, shm_rng);
-    EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(socket.matching));
-    EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(shm.matching));
-    EXPECT_EQ(barrier.certified, socket.certified);
-    EXPECT_EQ(barrier.certified, shm.certified);
-    EXPECT_EQ(barrier.total_augmentations, socket.total_augmentations);
-    EXPECT_EQ(barrier.total_augmentations, shm.total_augmentations);
-    expect_same_rounds(barrier.stats, socket.stats);
-    expect_same_rounds(barrier.stats, shm.stats);
-    const std::uint64_t expected = barrier_rng.next_u64();
+    EXPECT_EQ(sorted_edges(inproc.matching), sorted_edges(socket.matching));
+    EXPECT_EQ(sorted_edges(inproc.matching), sorted_edges(shm.matching));
+    EXPECT_EQ(inproc.certified, socket.certified);
+    EXPECT_EQ(inproc.certified, shm.certified);
+    EXPECT_EQ(inproc.total_augmentations, socket.total_augmentations);
+    EXPECT_EQ(inproc.total_augmentations, shm.total_augmentations);
+    expect_same_rounds(inproc.stats, socket.stats);
+    expect_same_rounds(inproc.stats, shm.stats);
+    const std::uint64_t expected = inproc_rng.next_u64();
     EXPECT_EQ(expected, socket_rng.next_u64());
     EXPECT_EQ(expected, shm_rng.next_u64());
     // The augmenting build searches the coordinator's current matching, so
@@ -609,24 +595,24 @@ TEST(DistributedTransport, EdcsRoundsMatchOverSocketAndShm) {
     Rng gen(seed);
     const EdgeList el = gnp(300, 4.0 / 300, gen);
     const std::size_t k = base_config(el, 4).mpc.num_machines;
-    Rng barrier_rng(seed);
-    const EdcsMpcResult barrier = run_matching_rounds_edcs(
-        el, base_config(el, 4), EdcsRoundsConfig{}, 0, barrier_rng);
+    Rng inproc_rng(seed);
+    const EdcsMpcResult inproc = run_matching_rounds_edcs(
+        el, base_config(el, 4), EdcsRoundsConfig{}, 0, inproc_rng);
     Rng socket_rng(seed);
     const EdcsMpcResult socket = run_matching_rounds_edcs(
         el, socket_config(el, 4), EdcsRoundsConfig{}, 0, socket_rng);
     Rng shm_rng(seed);
     const EdcsMpcResult shm = run_matching_rounds_edcs(
         el, shm_config(el, 4), EdcsRoundsConfig{}, 0, shm_rng);
-    EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(socket.matching));
-    EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(shm.matching));
-    EXPECT_EQ(barrier.cover.vertices(), socket.cover.vertices());
-    EXPECT_EQ(barrier.cover.vertices(), shm.cover.vertices());
-    EXPECT_EQ(barrier.certified, socket.certified);
-    EXPECT_EQ(barrier.certified, shm.certified);
-    expect_same_rounds(barrier.stats, socket.stats);
-    expect_same_rounds(barrier.stats, shm.stats);
-    const std::uint64_t expected = barrier_rng.next_u64();
+    EXPECT_EQ(sorted_edges(inproc.matching), sorted_edges(socket.matching));
+    EXPECT_EQ(sorted_edges(inproc.matching), sorted_edges(shm.matching));
+    EXPECT_EQ(inproc.cover.vertices(), socket.cover.vertices());
+    EXPECT_EQ(inproc.cover.vertices(), shm.cover.vertices());
+    EXPECT_EQ(inproc.certified, socket.certified);
+    EXPECT_EQ(inproc.certified, shm.certified);
+    expect_same_rounds(inproc.stats, socket.stats);
+    expect_same_rounds(inproc.stats, shm.stats);
+    const std::uint64_t expected = inproc_rng.next_u64();
     EXPECT_EQ(expected, socket_rng.next_u64());
     EXPECT_EQ(expected, shm_rng.next_u64());
     // build_edcs is a pure function of the shard and the const beta/lambda
@@ -671,7 +657,7 @@ class FaultDeathTest : public ::testing::TestWithParam<FaultCase> {
     opts.faults = faults;
     Rng rng(c.seed);
     EXPECT_DEATH(
-        (void)run_vc_protocol_streaming(el, 4, coreset, rng, nullptr, opts),
+        (void)run_vc_protocol(el, 4, coreset, rng, nullptr, opts),
         c.diagnostic);
   }
 };
@@ -747,19 +733,19 @@ TEST(DistributedTransportDeathTest, ConcurrentDuplicateMachineIdDies) {
 TEST(DistributedTransport, ShmBackpressureTinyRingStillCompletes) {
   // 256-byte rings versus frames tens of KB wide: every frame crosses in
   // hundreds of chunked ring passes. The run must neither deadlock nor
-  // corrupt — the result stays byte-identical to the barrier.
+  // corrupt — the result stays byte-identical to the in-process run.
   Rng gen(33);
   const EdgeList el = gnp(300, 6.0 / 300, gen);
   const PeelingVcCoreset coreset;
-  Rng barrier_rng(33);
-  const VcProtocolResult barrier = run_vc_protocol(el, 6, coreset, barrier_rng);
+  Rng inproc_rng(33);
+  const VcProtocolResult inproc = run_vc_protocol(el, 6, coreset, inproc_rng);
   Rng shm_rng(33);
-  const VcProtocolResult shm = run_vc_protocol_streaming(
+  const VcProtocolResult shm = run_vc_protocol(
       el, 6, coreset, shm_rng, /*pool=*/nullptr,
       shm_options(/*timeout_ms=*/30000, /*ring_bytes=*/256));
-  EXPECT_EQ(barrier.solution.vertices(), shm.solution.vertices());
-  EXPECT_EQ(barrier.comm.total_words(), shm.comm.total_words());
-  EXPECT_EQ(barrier_rng.next_u64(), shm_rng.next_u64());
+  EXPECT_EQ(inproc.solution.vertices(), shm.solution.vertices());
+  EXPECT_EQ(inproc.comm.total_words(), shm.comm.total_words());
+  EXPECT_EQ(inproc_rng.next_u64(), shm_rng.next_u64());
 }
 
 TEST(DistributedTransportDeathTest, ShmPersistentWorkerKilledMidRunNamesRound) {

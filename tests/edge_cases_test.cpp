@@ -108,8 +108,11 @@ TEST(EdgeCases, CoresetMpcTinyGraph) {
   EdgeList el(4);
   el.add(0, 1);
   el.add(2, 3);
-  MpcConfig cfg{2, 1000};
-  const CoresetMpcMatchingResult r = coreset_mpc_matching(el, cfg, false, 0, rng);
+  const MpcEngineConfig cfg{.mpc = MpcConfig{2, 1000},
+                            .max_rounds = 1,
+                            .input_already_random = false};
+  const CoresetMpcMatchingResult r =
+      coreset_mpc_matching_rounds(el, cfg, 0, rng);
   EXPECT_EQ(r.matching.size(), 2u);
 }
 

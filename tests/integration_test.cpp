@@ -129,8 +129,12 @@ TEST(Integration, MpcAndSimultaneousAgreeOnQuality) {
   const std::size_t opt = maximum_matching_size(el);
   const MatchingProtocolResult sim =
       coreset_matching_protocol(el, 16, 0, rng, nullptr);
-  const CoresetMpcMatchingResult mpc =
-      coreset_mpc_matching(el, MpcConfig::paper_default(n), false, 0, rng);
+  const CoresetMpcMatchingResult mpc = coreset_mpc_matching_rounds(
+      el,
+      MpcEngineConfig{.mpc = MpcConfig::paper_default(n),
+                      .max_rounds = 1,
+                      .input_already_random = false},
+      0, rng);
   EXPECT_GE(9 * sim.solution.size(), opt);
   EXPECT_GE(9 * mpc.matching.size(), opt);
   // The two pipelines implement the same coreset; sizes are close.

@@ -54,7 +54,14 @@ TEST(IO, CommentsAreSkipped) {
 
 TEST(IODeathTest, MissingFileAborts) {
   EXPECT_DEATH(read_edge_list("/nonexistent/definitely/not/here.txt"),
-               "RCC_CHECK");
+               "edge list io: /nonexistent/definitely/not/here.txt: cannot "
+               "open for reading: No such file or directory");
+}
+
+TEST(IODeathTest, UnwritablePathAborts) {
+  EXPECT_DEATH(write_edge_list(EdgeList(4), "/nonexistent/dir/x.txt"),
+               "edge list io: /nonexistent/dir/x.txt: cannot open for "
+               "writing: No such file or directory");
 }
 
 TEST(IODeathTest, TruncatedFileAborts) {

@@ -118,13 +118,11 @@ TEST(MpcEdcsGolden, DegenerateBetaPinsAMultiRoundRun) {
 }
 
 TEST(MpcEdcsGolden, StreamingCanonicalFoldReproducesTheSeed7Pins) {
-  // The streaming combine path in canonical order must replay the frozen
-  // golden behavior bit for bit: same matched edges, same comm words, same
-  // ledger peaks (collect words are charged per absorbed summary instead of
-  // all at once — totals and peaks must not move).
+  // A pooled run, whose canonical absorbs overlap the machine phase, must
+  // replay the frozen golden behavior bit for bit: same matched edges, same
+  // comm words, same ledger peaks.
   const EdgeList el = crown_forest(4, 3);
-  MpcEngineConfig config = engine_config(el, 32);
-  config.streaming_fold = true;
+  const MpcEngineConfig config = engine_config(el, 32);
   ThreadPool pool(4);
   EdcsRoundsConfig edcs;
   Rng rng(7);
@@ -144,8 +142,7 @@ TEST(MpcEdcsGolden, StreamingCanonicalFoldReproducesTheSeed7Pins) {
   EdcsRoundsConfig thin;
   thin.edcs.beta = 2;
   thin.edcs.lambda = 1;
-  MpcEngineConfig multi = roomy_config(4, 32);
-  multi.streaming_fold = true;
+  const MpcEngineConfig multi = roomy_config(4, 32);
   Rng multi_rng(7);
   const EdcsMpcResult m =
       run_matching_rounds_edcs(crowns, multi, thin, 0, multi_rng, &pool);

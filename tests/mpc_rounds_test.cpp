@@ -1,12 +1,9 @@
 // Differential tests for the multi-round MPC executor (mpc/mpc_engine.hpp):
 //
-//   (a) the legacy single-round wrappers (coreset_mpc_matching,
-//       coreset_mpc_vertex_cover, filtering_mpc) must produce IDENTICAL
-//       solutions to the executor entry points for fixed RNG seeds — since
-//       the wrappers delegate to the executor, this pins the wrapper
-//       plumbing (single-round config construction, sequential default),
-//       not the pre-migration implementation, and catches any future drift
-//       between the two call paths,
+//   (a) the filtering_mpc wrapper must produce IDENTICAL solutions to the
+//       executor entry point for fixed RNG seeds, and pooled runs — whose
+//       absorbs overlap the machine phase — must equal sequential ones
+//       (golden values live in streaming_engine_test's EntryPointPins),
 //   (b) iterating coreset rounds is monotone: the multi-round matching is
 //       never smaller than the single-round one on the same instance/seed,
 //   (c) per-machine memory accounting never exceeds the configured
@@ -76,47 +73,6 @@ MpcEngineConfig engine_config(const EdgeList& graph, std::size_t max_rounds,
   config.max_rounds = max_rounds;
   config.input_already_random = input_already_random;
   return config;
-}
-
-TEST(MpcRoundsDifferential, ExecutorMatchesLegacyMatchingSeedForSeed) {
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    for (const Instance& inst : grid(seed)) {
-      for (bool random_input : {false, true}) {
-        Rng legacy_rng(seed);
-        const CoresetMpcMatchingResult legacy = coreset_mpc_matching(
-            inst.edges, MpcConfig::paper_default(inst.edges.num_vertices()),
-            random_input, inst.left_size, legacy_rng);
-        Rng engine_rng(seed);
-        const CoresetMpcMatchingResult engine = coreset_mpc_matching_rounds(
-            inst.edges, engine_config(inst.edges, 1, random_input),
-            inst.left_size, engine_rng);
-        EXPECT_EQ(sorted_edges(legacy.matching), sorted_edges(engine.matching))
-            << inst.name << " seed=" << seed << " random=" << random_input;
-        EXPECT_EQ(legacy.rounds, engine.rounds);
-        EXPECT_EQ(legacy.max_memory_words, engine.max_memory_words);
-      }
-    }
-  }
-}
-
-TEST(MpcRoundsDifferential, ExecutorMatchesLegacyVertexCoverSeedForSeed) {
-  for (std::uint64_t seed : {4u, 5u}) {
-    for (const Instance& inst : grid(seed)) {
-      for (bool random_input : {false, true}) {
-        Rng legacy_rng(seed);
-        const CoresetMpcVcResult legacy = coreset_mpc_vertex_cover(
-            inst.edges, MpcConfig::paper_default(inst.edges.num_vertices()),
-            random_input, legacy_rng);
-        Rng engine_rng(seed);
-        const CoresetMpcVcResult engine = coreset_mpc_vertex_cover_rounds(
-            inst.edges, engine_config(inst.edges, 1, random_input), engine_rng);
-        EXPECT_EQ(legacy.cover.vertices(), engine.cover.vertices())
-            << inst.name << " seed=" << seed << " random=" << random_input;
-        EXPECT_EQ(legacy.rounds, engine.rounds);
-        EXPECT_EQ(legacy.max_memory_words, engine.max_memory_words);
-      }
-    }
-  }
 }
 
 TEST(MpcRoundsDifferential, ExecutorMatchesLegacyFilteringSeedForSeed) {
@@ -328,12 +284,14 @@ TEST(MpcRoundsEarlyStop, ProgressReportingFoldIsNotStoppedWhileItWorks) {
     return piece.num_edges();  // summary: a count, nothing else
   };
   const auto account = [](std::size_t) { return MessageSize{0, 1}; };
-  const auto fold = [&](std::vector<std::size_t>&, MpcRoundContext& ctx,
-                        Rng&) {
-    // Recirculate every edge; "work" happens for the first rounds only.
-    if (ctx.round_index() < kProductiveRounds) ctx.note_progress(1);
-    return ctx.active_edges().to_edge_list();
-  };
+  struct {
+    void absorb(std::size_t&, std::size_t, MpcRoundContext&) {}
+    EdgeList finish(std::vector<std::size_t>&, MpcRoundContext& ctx, Rng&) {
+      // Recirculate every edge; "work" happens for the first rounds only.
+      if (ctx.round_index() < kProductiveRounds) ctx.note_progress(1);
+      return ctx.active_edges().to_edge_list();
+    }
+  } fold;
   Rng rng(80);
   const MpcExecutionStats stats =
       run_mpc_rounds(el, config, 0, rng, nullptr, build, account, fold);
@@ -355,8 +313,12 @@ TEST(MpcRoundsEarlyStop, DisabledEarlyStopStillRunsToTheCap) {
     return piece.num_edges();
   };
   const auto account = [](std::size_t) { return MessageSize{0, 1}; };
-  const auto fold = [&](std::vector<std::size_t>&, MpcRoundContext& ctx,
-                        Rng&) { return ctx.active_edges().to_edge_list(); };
+  struct {
+    void absorb(std::size_t&, std::size_t, MpcRoundContext&) {}
+    EdgeList finish(std::vector<std::size_t>&, MpcRoundContext& ctx, Rng&) {
+      return ctx.active_edges().to_edge_list();
+    }
+  } fold;
   Rng rng(81);
   const MpcExecutionStats stats =
       run_mpc_rounds(el, config, 0, rng, nullptr, build, account, fold);
@@ -379,12 +341,14 @@ TEST(MpcRoundsCertificate, UncertifiedLaterRoundClearsAStaleRatio) {
 
   {
     // Certify in round 0, keep mutating without certifying afterwards.
-    const auto fold = [&](std::vector<std::size_t>&, MpcRoundContext& ctx,
-                          Rng&) {
-      if (ctx.round_index() == 0) ctx.certify_ratio(1.5);
-      ctx.note_progress(1);  // keep the run alive
-      return ctx.active_edges().to_edge_list();
-    };
+    struct {
+      void absorb(std::size_t&, std::size_t, MpcRoundContext&) {}
+      EdgeList finish(std::vector<std::size_t>&, MpcRoundContext& ctx, Rng&) {
+        if (ctx.round_index() == 0) ctx.certify_ratio(1.5);
+        ctx.note_progress(1);  // keep the run alive
+        return ctx.active_edges().to_edge_list();
+      }
+    } fold;
     Rng rng(82);
     const MpcExecutionStats stats =
         run_mpc_rounds(el, config, 0, rng, nullptr, build, account, fold);
@@ -394,12 +358,14 @@ TEST(MpcRoundsCertificate, UncertifiedLaterRoundClearsAStaleRatio) {
   }
   {
     // A certificate in the FINAL round sticks.
-    const auto fold = [&](std::vector<std::size_t>&, MpcRoundContext& ctx,
-                          Rng&) {
-      if (ctx.last_round()) ctx.certify_ratio(1.25);
-      ctx.note_progress(1);
-      return ctx.active_edges().to_edge_list();
-    };
+    struct {
+      void absorb(std::size_t&, std::size_t, MpcRoundContext&) {}
+      EdgeList finish(std::vector<std::size_t>&, MpcRoundContext& ctx, Rng&) {
+        if (ctx.last_round()) ctx.certify_ratio(1.25);
+        ctx.note_progress(1);
+        return ctx.active_edges().to_edge_list();
+      }
+    } fold;
     Rng rng(82);
     const MpcExecutionStats stats =
         run_mpc_rounds(el, config, 0, rng, nullptr, build, account, fold);
@@ -407,59 +373,51 @@ TEST(MpcRoundsCertificate, UncertifiedLaterRoundClearsAStaleRatio) {
   }
 }
 
-TEST(MpcRoundsStreaming, StreamingFoldMatchesBarrierSeedForSeed) {
+TEST(MpcRoundsStreaming, PooledMatchingRoundsMatchSequentialSeedForSeed) {
   for (std::uint64_t seed : {90u, 91u}) {
     for (const Instance& inst : grid(seed)) {
-      for (std::size_t threads : {0u, 4u}) {
-        ThreadPool pool(threads == 0 ? 1 : threads);
-        ThreadPool* p = threads == 0 ? nullptr : &pool;
+      const MpcEngineConfig cfg = engine_config(inst.edges, 4, true);
+      Rng seq_rng(seed);
+      const CoresetMpcMatchingResult seq = coreset_mpc_matching_rounds(
+          inst.edges, cfg, inst.left_size, seq_rng);
+      ThreadPool pool(4);
+      Rng par_rng(seed);
+      const CoresetMpcMatchingResult par = coreset_mpc_matching_rounds(
+          inst.edges, cfg, inst.left_size, par_rng, &pool);
 
-        MpcEngineConfig barrier_cfg = engine_config(inst.edges, 4, true);
-        Rng barrier_rng(seed);
-        const CoresetMpcMatchingResult barrier = coreset_mpc_matching_rounds(
-            inst.edges, barrier_cfg, inst.left_size, barrier_rng, p);
-
-        MpcEngineConfig stream_cfg = barrier_cfg;
-        stream_cfg.streaming_fold = true;  // canonical order by default
-        Rng stream_rng(seed);
-        const CoresetMpcMatchingResult streamed = coreset_mpc_matching_rounds(
-            inst.edges, stream_cfg, inst.left_size, stream_rng, p);
-
-        EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(streamed.matching))
-            << inst.name << " seed=" << seed << " threads=" << threads;
-        EXPECT_EQ(barrier.rounds, streamed.rounds);
-        EXPECT_EQ(barrier.stats.total_comm_words, streamed.stats.total_comm_words);
-        EXPECT_EQ(barrier.max_memory_words, streamed.max_memory_words);
-        EXPECT_EQ(barrier.stats.engine_rounds, streamed.stats.engine_rounds);
-      }
+      EXPECT_EQ(sorted_edges(seq.matching), sorted_edges(par.matching))
+          << inst.name << " seed=" << seed;
+      EXPECT_EQ(seq.rounds, par.rounds);
+      EXPECT_EQ(seq.stats.total_comm_words, par.stats.total_comm_words);
+      EXPECT_EQ(seq.max_memory_words, par.max_memory_words);
+      EXPECT_EQ(seq.stats.engine_rounds, par.stats.engine_rounds);
+      EXPECT_EQ(seq_rng.next_u64(), par_rng.next_u64());
     }
   }
 }
 
-TEST(MpcRoundsStreaming, StreamingVertexCoverMatchesBarrierSeedForSeed) {
+TEST(MpcRoundsStreaming, PooledVertexCoverRoundsMatchSequentialSeedForSeed) {
   for (std::uint64_t seed : {92u, 93u}) {
     for (const Instance& inst : grid(seed)) {
-      MpcEngineConfig barrier_cfg = engine_config(inst.edges, 3, true);
-      Rng barrier_rng(seed);
-      const CoresetMpcVcResult barrier = coreset_mpc_vertex_cover_rounds(
-          inst.edges, barrier_cfg, barrier_rng);
-
-      MpcEngineConfig stream_cfg = barrier_cfg;
-      stream_cfg.streaming_fold = true;
+      const MpcEngineConfig cfg = engine_config(inst.edges, 3, true);
+      Rng seq_rng(seed);
+      const CoresetMpcVcResult seq =
+          coreset_mpc_vertex_cover_rounds(inst.edges, cfg, seq_rng);
       ThreadPool pool(4);
-      Rng stream_rng(seed);
-      const CoresetMpcVcResult streamed = coreset_mpc_vertex_cover_rounds(
-          inst.edges, stream_cfg, stream_rng, &pool);
+      Rng par_rng(seed);
+      const CoresetMpcVcResult par =
+          coreset_mpc_vertex_cover_rounds(inst.edges, cfg, par_rng, &pool);
 
-      EXPECT_EQ(barrier.cover.vertices(), streamed.cover.vertices())
+      EXPECT_EQ(seq.cover.vertices(), par.cover.vertices())
           << inst.name << " seed=" << seed;
-      EXPECT_EQ(barrier.rounds, streamed.rounds);
-      EXPECT_EQ(barrier.max_memory_words, streamed.max_memory_words);
+      EXPECT_EQ(seq.rounds, par.rounds);
+      EXPECT_EQ(seq.max_memory_words, par.max_memory_words);
+      EXPECT_EQ(seq_rng.next_u64(), par_rng.next_u64());
     }
   }
 }
 
-TEST(MpcRoundsStreaming, StreamingFilteringMatchesBarrierSeedForSeed) {
+TEST(MpcRoundsStreaming, PooledFilteringMatchesSequentialSeedForSeed) {
   for (std::uint64_t seed : {94u, 95u}) {
     Rng gen_rng(seed);
     const EdgeList el = gnp(400, 0.08, gen_rng);
@@ -468,22 +426,20 @@ TEST(MpcRoundsStreaming, StreamingFilteringMatchesBarrierSeedForSeed) {
     cfg.mpc.memory_words = 2 * 3000;
     cfg.max_rounds = 1000;
 
-    Rng barrier_rng(seed);
-    const FilteringMpcResult barrier = filtering_mpc_rounds(el, cfg, barrier_rng);
-
-    MpcEngineConfig stream_cfg = cfg;
-    stream_cfg.streaming_fold = true;
+    Rng seq_rng(seed);
+    const FilteringMpcResult seq = filtering_mpc_rounds(el, cfg, seq_rng);
     ThreadPool pool(4);
-    Rng stream_rng(seed);
-    const FilteringMpcResult streamed =
-        filtering_mpc_rounds(el, stream_cfg, stream_rng, &pool);
+    Rng par_rng(seed);
+    const FilteringMpcResult par =
+        filtering_mpc_rounds(el, cfg, par_rng, &pool);
 
-    EXPECT_EQ(sorted_edges(barrier.maximal_matching),
-              sorted_edges(streamed.maximal_matching));
-    EXPECT_EQ(barrier.rounds, streamed.rounds);
-    EXPECT_EQ(barrier.filter_iterations, streamed.filter_iterations);
-    EXPECT_EQ(barrier.max_memory_words, streamed.max_memory_words);
-    EXPECT_TRUE(streamed.completed);
+    EXPECT_EQ(sorted_edges(seq.maximal_matching),
+              sorted_edges(par.maximal_matching));
+    EXPECT_EQ(seq.rounds, par.rounds);
+    EXPECT_EQ(seq.filter_iterations, par.filter_iterations);
+    EXPECT_EQ(seq.max_memory_words, par.max_memory_words);
+    EXPECT_TRUE(par.completed);
+    EXPECT_EQ(seq_rng.next_u64(), par_rng.next_u64());
   }
 }
 
@@ -496,7 +452,6 @@ TEST(MpcRoundsStreaming, ArrivalOrderFilteringStaysMaximal) {
   cfg.mpc.num_machines = 8;
   cfg.mpc.memory_words = 2 * 3000;
   cfg.max_rounds = 1000;
-  cfg.streaming_fold = true;
   cfg.streaming.order = StreamingOrder::kArrival;
   ThreadPool pool(4);
   Rng rng(96);

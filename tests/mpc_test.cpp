@@ -14,6 +14,14 @@
 namespace rcc {
 namespace {
 
+/// The paper's <= 2-round algorithm on the executor: one coreset round,
+/// preceded by the shuffle round when the input is not already random.
+MpcEngineConfig one_round(const MpcConfig& mpc, bool input_already_random) {
+  return MpcEngineConfig{.mpc = mpc,
+                         .max_rounds = 1,
+                         .input_already_random = input_already_random};
+}
+
 TEST(MpcConfig, PaperDefaultScalesAsNSqrtN) {
   const MpcConfig cfg = MpcConfig::paper_default(10000);
   EXPECT_EQ(cfg.num_machines, 100u);
@@ -51,8 +59,8 @@ TEST(CoresetMpc, TwoRoundsFromAdversarialPlacement) {
   const VertexId n = 4096;
   const EdgeList el = gnp(n, 6.0 / n, rng);
   const MpcConfig cfg = MpcConfig::paper_default(n);
-  const CoresetMpcMatchingResult r =
-      coreset_mpc_matching(el, cfg, /*input_already_random=*/false, 0, rng);
+  const CoresetMpcMatchingResult r = coreset_mpc_matching_rounds(
+      el, one_round(cfg, /*input_already_random=*/false), 0, rng);
   EXPECT_EQ(r.rounds, 2u);
   EXPECT_TRUE(r.matching.valid());
   EXPECT_TRUE(r.matching.subset_of(el));
@@ -65,8 +73,8 @@ TEST(CoresetMpc, OneRoundWhenInputAlreadyRandom) {
   const VertexId n = 4096;
   const EdgeList el = gnp(n, 6.0 / n, rng);
   const MpcConfig cfg = MpcConfig::paper_default(n);
-  const CoresetMpcMatchingResult r =
-      coreset_mpc_matching(el, cfg, /*input_already_random=*/true, 0, rng);
+  const CoresetMpcMatchingResult r = coreset_mpc_matching_rounds(
+      el, one_round(cfg, /*input_already_random=*/true), 0, rng);
   EXPECT_EQ(r.rounds, 1u);
   EXPECT_TRUE(r.matching.valid());
 }
@@ -76,8 +84,8 @@ TEST(CoresetMpc, VertexCoverTwoRoundsAndFeasible) {
   const VertexId n = 4096;
   const EdgeList el = gnp(n, 6.0 / n, rng);
   const MpcConfig cfg = MpcConfig::paper_default(n);
-  const CoresetMpcVcResult r =
-      coreset_mpc_vertex_cover(el, cfg, /*input_already_random=*/false, rng);
+  const CoresetMpcVcResult r = coreset_mpc_vertex_cover_rounds(
+      el, one_round(cfg, /*input_already_random=*/false), rng);
   EXPECT_EQ(r.rounds, 2u);
   EXPECT_TRUE(r.cover.covers(el));
   EXPECT_LE(r.max_memory_words, cfg.memory_words);
@@ -135,8 +143,8 @@ TEST(CoresetVsFiltering, CoresetUsesFewerRoundsAtPaperMemory) {
   cfg.memory_words = static_cast<std::uint64_t>(
       3.0 * std::pow(static_cast<double>(n), 1.5));
   ASSERT_GT(2 * el.num_edges(), cfg.memory_words);  // filtering must iterate
-  const CoresetMpcMatchingResult coreset =
-      coreset_mpc_matching(el, cfg, false, 0, rng);
+  const CoresetMpcMatchingResult coreset = coreset_mpc_matching_rounds(
+      el, one_round(cfg, /*input_already_random=*/false), 0, rng);
   const FilteringMpcResult filtering = filtering_mpc(el, cfg, rng);
   EXPECT_EQ(coreset.rounds, 2u);
   EXPECT_GE(filtering.rounds, 3u);

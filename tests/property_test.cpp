@@ -162,13 +162,19 @@ TEST(ProtocolProperties, MpcEntryPointsKeepTheInvariants) {
           maximum_matching_size(inst.edges, inst.left_size);
       const MpcConfig cfg = roomy_mpc_config();
       for (bool random_input : {false, true}) {
+        // The paper's <= 2-round algorithm: one coreset round, preceded by
+        // the shuffle round when the input is not already random.
+        const MpcEngineConfig config{
+            .mpc = cfg, .max_rounds = 1, .input_already_random = random_input};
         Rng rng(seed);
-        const CoresetMpcMatchingResult m = coreset_mpc_matching(
-            inst.edges, cfg, random_input, inst.left_size, rng);
-        expect_valid_matching(m.matching, inst, opt, "coreset_mpc_matching");
+        const CoresetMpcMatchingResult m = coreset_mpc_matching_rounds(
+            inst.edges, config, inst.left_size, rng);
+        expect_valid_matching(m.matching, inst, opt,
+                              "coreset_mpc_matching_rounds");
         const CoresetMpcVcResult c =
-            coreset_mpc_vertex_cover(inst.edges, cfg, random_input, rng);
-        expect_feasible_cover(c.cover, inst, opt, "coreset_mpc_vertex_cover");
+            coreset_mpc_vertex_cover_rounds(inst.edges, config, rng);
+        expect_feasible_cover(c.cover, inst, opt,
+                              "coreset_mpc_vertex_cover_rounds");
       }
     }
   }
@@ -226,53 +232,57 @@ TEST(ProtocolProperties, FilteringSatisfiesTheDualitySandwich) {
   }
 }
 
-TEST(ProtocolProperties, StreamingCanonicalMatchesBarrierOnTheFullGrid) {
-  // The streaming combine path's determinism contract, pinned on the same
+TEST(ProtocolProperties, CanonicalFoldIsReproducibleOnTheFullGrid) {
+  // The coordinator fold's determinism contract, pinned on the same
   // generator x seed grid as every other protocol invariant: in canonical
-  // order, streaming is seed-for-seed identical to the barrier fold — exact
-  // solutions, word-exact communication, and the caller's RNG left at the
-  // same stream position.
+  // order a pooled run equals the compose_* reference over its own retained
+  // summaries — exact solutions, and the caller's RNG left where partition
+  // + k forks + the coordinator's draws put it — and equals the sequential
+  // run wherever the summaries are not consumed by the fold.
   ThreadPool pool(4);
   for (std::uint64_t seed : kSeeds) {
     for (const Instance& inst : instance_grid(seed)) {
-      Rng barrier_rng(seed);
-      const MatchingProtocolResult m_barrier = coreset_matching_protocol(
-          inst.edges, kMachines, inst.left_size, barrier_rng, &pool);
-      Rng stream_rng(seed);
-      const MatchingProtocolResult m_streamed =
-          coreset_matching_protocol_streaming(inst.edges, kMachines,
-                                              inst.left_size, stream_rng,
-                                              &pool);
-      EdgeList barrier_edges = m_barrier.solution.to_edge_list();
-      EdgeList streamed_edges = m_streamed.solution.to_edge_list();
-      barrier_edges.sort();
-      streamed_edges.sort();
-      EXPECT_EQ(barrier_edges.edges(), streamed_edges.edges())
+      Rng reference_rng(seed);
+      (void)shard_random(inst.edges, kMachines, reference_rng);
+      for (std::size_t i = 0; i < kMachines; ++i) (void)reference_rng.fork();
+
+      Rng m_rng(seed);
+      const MatchingProtocolResult m = coreset_matching_protocol(
+          inst.edges, kMachines, inst.left_size, m_rng, &pool);
+      Rng m_reference_rng = reference_rng;
+      const Matching m_reference =
+          compose_matching_coresets(m.summaries, ComposeSolver::kMaximum,
+                                    inst.left_size, m_reference_rng);
+      EdgeList fold_edges = m.solution.to_edge_list();
+      EdgeList reference_edges = m_reference.to_edge_list();
+      fold_edges.sort();
+      reference_edges.sort();
+      EXPECT_EQ(fold_edges.edges(), reference_edges.edges())
           << "matching on " << inst.name << " seed=" << seed;
-      EXPECT_EQ(m_barrier.comm.total_words(), m_streamed.comm.total_words())
-          << inst.name;
-      EXPECT_EQ(barrier_rng.next_u64(), stream_rng.next_u64()) << inst.name;
+      EXPECT_EQ(m_rng.next_u64(), m_reference_rng.next_u64()) << inst.name;
 
-      Rng vc_barrier_rng(seed);
-      const VcProtocolResult c_barrier =
-          coreset_vc_protocol(inst.edges, kMachines, vc_barrier_rng, &pool);
-      Rng vc_stream_rng(seed);
-      const VcProtocolResult c_streamed = coreset_vc_protocol_streaming(
-          inst.edges, kMachines, vc_stream_rng, &pool);
-      EXPECT_EQ(c_barrier.solution.vertices(), c_streamed.solution.vertices())
+      Rng c_rng(seed);
+      const VcProtocolResult c =
+          coreset_vc_protocol(inst.edges, kMachines, c_rng, &pool);
+      Rng c_reference_rng = reference_rng;
+      const VertexCover c_reference = compose_vc_coresets(
+          c.summaries, inst.edges.num_vertices(), c_reference_rng);
+      EXPECT_EQ(c.solution.vertices(), c_reference.vertices())
           << "cover on " << inst.name << " seed=" << seed;
-      EXPECT_EQ(c_barrier.comm.total_words(), c_streamed.comm.total_words());
-      EXPECT_EQ(vc_barrier_rng.next_u64(), vc_stream_rng.next_u64());
+      EXPECT_EQ(c_rng.next_u64(), c_reference_rng.next_u64()) << inst.name;
 
-      Rng g_barrier_rng(seed);
-      const GroupedVcProtocolResult g_barrier = grouped_vc_protocol(
-          inst.edges, kMachines, /*alpha=*/8.0, g_barrier_rng, &pool);
-      Rng g_stream_rng(seed);
-      const GroupedVcProtocolResult g_streamed = grouped_vc_protocol_streaming(
-          inst.edges, kMachines, /*alpha=*/8.0, g_stream_rng, &pool);
-      EXPECT_EQ(g_barrier.solution.vertices(), g_streamed.solution.vertices())
+      // The grouped fold moves each machine's core out of its summary, so
+      // its reference is the sequential run (and its golden pins).
+      Rng g_seq_rng(seed);
+      const GroupedVcProtocolResult g_seq = grouped_vc_protocol(
+          inst.edges, kMachines, /*alpha=*/8.0, g_seq_rng);
+      Rng g_par_rng(seed);
+      const GroupedVcProtocolResult g_par = grouped_vc_protocol(
+          inst.edges, kMachines, /*alpha=*/8.0, g_par_rng, &pool);
+      EXPECT_EQ(g_seq.solution.vertices(), g_par.solution.vertices())
           << "grouped cover on " << inst.name << " seed=" << seed;
-      EXPECT_EQ(g_barrier_rng.next_u64(), g_stream_rng.next_u64());
+      EXPECT_EQ(g_seq.comm.total_words(), g_par.comm.total_words());
+      EXPECT_EQ(g_seq_rng.next_u64(), g_par_rng.next_u64());
     }
   }
 }
@@ -289,7 +299,7 @@ TEST(ProtocolProperties, ArrivalOrderStreamingKeepsEveryInvariant) {
       const std::size_t opt =
           maximum_matching_size(inst.edges, inst.left_size);
       Rng m_rng(seed);
-      const MatchingProtocolResult m = coreset_matching_protocol_streaming(
+      const MatchingProtocolResult m = coreset_matching_protocol(
           inst.edges, kMachines, inst.left_size, m_rng, &pool, arrival);
       expect_valid_matching(m.solution, inst, opt, "streaming-arrival");
       EXPECT_TRUE(
@@ -297,8 +307,8 @@ TEST(ProtocolProperties, ArrivalOrderStreamingKeepsEveryInvariant) {
           << inst.name;
 
       Rng c_rng(seed);
-      const VcProtocolResult c = coreset_vc_protocol_streaming(
-          inst.edges, kMachines, c_rng, &pool, arrival);
+      const VcProtocolResult c =
+          coreset_vc_protocol(inst.edges, kMachines, c_rng, &pool, arrival);
       expect_feasible_cover(c.solution, inst, opt, "streaming-arrival-vc");
     }
   }

@@ -1,15 +1,20 @@
-// Streaming combine path of the ProtocolEngine
-// (distributed/protocol_engine.hpp):
+// The streaming combine path of the ProtocolEngine
+// (distributed/protocol_engine.hpp), the one coordinator fold every driver
+// runs:
 //
-//   * canonical-order streaming must be seed-for-seed IDENTICAL to the
-//     barrier fold — exact solutions, word-exact communication, and the
-//     coordinator RNG stream left in the same state — for every driver
-//     (matching, VC, grouped VC, weighted matching, weighted VC), pool and
-//     sequential, and for every completion-queue capacity,
+//   * canonical order is seed-for-seed reproducible: a run equals the
+//     compose_* reference over its own retained summaries with the caller's
+//     rng replayed through partition + k forks (matching, VC, weighted
+//     matching), pooled runs equal sequential ones for every completion-queue
+//     capacity, and golden pins freeze the grouped, weighted and multi-round
+//     MPC entry points (solution hash, comm words, memory peak, rounds, and
+//     the caller's next rng draw),
 //   * arrival-order streaming keeps the protocol invariants (validity /
 //     feasibility) even though the absorb order follows thread completion,
 //   * the overlap telemetry reports what the path exists to create: the
-//     coordinator absorbing summaries while machines are still building.
+//     coordinator absorbing summaries while machines are still building,
+//   * the engine flags round-trip strictly, and --engine-streaming is an
+//     unknown flag (every driver streams).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +22,7 @@
 
 #include "coreset/matching_coresets.hpp"
 #include "coreset/vc_coreset.hpp"
+#include "coreset/weighted_coreset.hpp"
 #include "distributed/protocol.hpp"
 #include "distributed/protocols.hpp"
 #include "distributed/weighted_matching_protocol.hpp"
@@ -40,125 +46,100 @@ std::vector<Edge> sorted_edges(const Matching& m) {
 
 constexpr std::size_t kMachines = 5;
 
-TEST(StreamingEngine, CanonicalMatchingMatchesBarrierSeedForSeed) {
+/// The caller's rng as the engine hands it to the coordinator's finish: the
+/// sharded partition's draws, then one fork per machine.
+template <typename Graph>
+Rng coordinator_rng(const Graph& graph, std::size_t k, std::uint64_t seed) {
+  Rng rng(seed);
+  (void)shard_random(graph, k, rng);
+  for (std::size_t i = 0; i < k; ++i) (void)rng.fork();
+  return rng;
+}
+
+/// Parallel unit-path edges (u, u+1) with random weights: a multigraph whose
+/// weight classes all carry edges.
+WeightedEdgeList weighted_path_multigraph(Rng& gen) {
+  WeightedEdgeList w;
+  w.num_vertices = 120;
+  for (int i = 0; i < 900; ++i) {
+    const auto u = static_cast<VertexId>(gen.next_below(119));
+    w.add(u, static_cast<VertexId>(u + 1), gen.uniform_real(0.5, 16.0));
+  }
+  return w;
+}
+
+
+TEST(StreamingEngine, CanonicalMatchingEqualsComposeOverItsSummaries) {
   const MaximumMatchingCoreset coreset;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     Rng gen(seed);
     const EdgeList el = gnp(400, 5.0 / 400, gen);
     for (const bool pooled : {false, true}) {
       ThreadPool pool(4);
-      ThreadPool* p = pooled ? &pool : nullptr;
+      Rng rng(seed);
+      const MatchingProtocolResult r =
+          run_matching_protocol(el, kMachines, coreset, ComposeSolver::kMaximum,
+                                0, rng, pooled ? &pool : nullptr);
+      Rng reference_rng = coordinator_rng(el, kMachines, seed);
+      const Matching reference = compose_matching_coresets(
+          r.summaries, ComposeSolver::kMaximum, 0, reference_rng);
 
-      Rng barrier_rng(seed);
-      const MatchingProtocolResult barrier = run_matching_protocol(
-          el, kMachines, coreset, ComposeSolver::kMaximum, 0, barrier_rng, p);
-      Rng stream_rng(seed);
-      const MatchingProtocolResult streamed = run_matching_protocol_streaming(
-          el, kMachines, coreset, ComposeSolver::kMaximum, 0, stream_rng, p);
-
-      EXPECT_EQ(sorted_edges(barrier.solution), sorted_edges(streamed.solution))
+      EXPECT_EQ(sorted_edges(r.solution), sorted_edges(reference))
           << "seed=" << seed << " pooled=" << pooled;
-      EXPECT_EQ(barrier.comm.total_words(), streamed.comm.total_words());
-      ASSERT_EQ(barrier.summaries.size(), streamed.summaries.size());
-      for (std::size_t i = 0; i < kMachines; ++i) {
-        EXPECT_EQ(barrier.summaries[i].num_edges(),
-                  streamed.summaries[i].num_edges());
-      }
-      // Both paths must leave the caller's RNG at the same stream position:
-      // k forks + the same coordinator draws.
-      EXPECT_EQ(barrier_rng.next_u64(), stream_rng.next_u64());
+      std::uint64_t words = 0;
+      for (const EdgeList& s : r.summaries) words += 2 * s.num_edges();
+      EXPECT_EQ(r.comm.total_words(), words);
+      // The run leaves the caller's RNG where partition + k forks + the
+      // coordinator's draws put it.
+      EXPECT_EQ(rng.next_u64(), reference_rng.next_u64());
     }
   }
 }
 
-TEST(StreamingEngine, CanonicalVcMatchesBarrierSeedForSeed) {
+TEST(StreamingEngine, CanonicalVcEqualsComposeOverItsSummaries) {
   const PeelingVcCoreset coreset;
   for (std::uint64_t seed : {4u, 5u}) {
     Rng gen(seed);
     const EdgeList el = gnp(300, 6.0 / 300, gen);
     for (const bool pooled : {false, true}) {
       ThreadPool pool(4);
-      ThreadPool* p = pooled ? &pool : nullptr;
+      Rng rng(seed);
+      const VcProtocolResult r = run_vc_protocol(el, kMachines, coreset, rng,
+                                                 pooled ? &pool : nullptr);
+      Rng reference_rng = coordinator_rng(el, kMachines, seed);
+      const VertexCover reference =
+          compose_vc_coresets(r.summaries, el.num_vertices(), reference_rng);
 
-      Rng barrier_rng(seed);
-      const VcProtocolResult barrier =
-          run_vc_protocol(el, kMachines, coreset, barrier_rng, p);
-      Rng stream_rng(seed);
-      const VcProtocolResult streamed =
-          run_vc_protocol_streaming(el, kMachines, coreset, stream_rng, p);
-
-      EXPECT_EQ(barrier.solution.vertices(), streamed.solution.vertices())
+      EXPECT_EQ(r.solution.vertices(), reference.vertices())
           << "seed=" << seed << " pooled=" << pooled;
-      EXPECT_EQ(barrier.comm.total_words(), streamed.comm.total_words());
-      EXPECT_EQ(barrier_rng.next_u64(), stream_rng.next_u64());
+      EXPECT_EQ(rng.next_u64(), reference_rng.next_u64());
     }
   }
 }
 
-TEST(StreamingEngine, CanonicalGroupedVcMatchesBarrierSeedForSeed) {
-  for (std::uint64_t seed : {6u, 7u}) {
-    Rng gen(seed);
-    const EdgeList el = gnp(256, 0.04, gen);
-    ThreadPool pool(3);
-    Rng barrier_rng(seed);
-    const GroupedVcProtocolResult barrier =
-        grouped_vc_protocol(el, kMachines, /*alpha=*/8.0, barrier_rng, &pool);
-    Rng stream_rng(seed);
-    const GroupedVcProtocolResult streamed = grouped_vc_protocol_streaming(
-        el, kMachines, /*alpha=*/8.0, stream_rng, &pool);
-    EXPECT_EQ(barrier.solution.vertices(), streamed.solution.vertices());
-    EXPECT_EQ(barrier.comm.total_words(), streamed.comm.total_words());
-    EXPECT_EQ(barrier_rng.next_u64(), stream_rng.next_u64());
-  }
-}
-
-TEST(StreamingEngine, CanonicalWeightedDriversMatchBarrierSeedForSeed) {
+TEST(StreamingEngine, CanonicalWeightedMatchingEqualsComposeOverItsSummaries) {
   for (std::uint64_t seed : {8u, 9u}) {
     Rng gen(seed);
-    WeightedEdgeList w;
-    w.num_vertices = 120;
-    for (int i = 0; i < 900; ++i) {
-      const auto u = static_cast<VertexId>(gen.next_below(119));
-      w.add(u, static_cast<VertexId>(u + 1), gen.uniform_real(0.5, 16.0));
-    }
+    const WeightedEdgeList w = weighted_path_multigraph(gen);
     ThreadPool pool(4);
-
-    Rng barrier_rng(seed);
-    const WeightedMatchingProtocolResult barrier =
-        weighted_matching_protocol(w, kMachines, 0, barrier_rng, &pool);
-    Rng stream_rng(seed);
-    const WeightedMatchingProtocolResult streamed =
-        weighted_matching_protocol_streaming(w, kMachines, 0, stream_rng,
-                                             &pool);
-    EXPECT_EQ(sorted_edges(barrier.solution), sorted_edges(streamed.solution));
-    EXPECT_DOUBLE_EQ(barrier.matching_weight, streamed.matching_weight);
-    EXPECT_EQ(barrier.comm.total_words(), streamed.comm.total_words());
-    EXPECT_EQ(barrier.max_classes_per_machine,
-              streamed.max_classes_per_machine);
-    EXPECT_EQ(barrier_rng.next_u64(), stream_rng.next_u64());
-
-    const EdgeList el = gnp(200, 0.05, gen);
-    VertexWeights weights(el.num_vertices());
-    for (double& x : weights) x = gen.uniform_real(1.0, 64.0);
-    Rng vc_barrier_rng(seed);
-    const WeightedVcProtocolResult vc_barrier =
-        weighted_vc_protocol(el, weights, kMachines, vc_barrier_rng, &pool);
-    Rng vc_stream_rng(seed);
-    const WeightedVcProtocolResult vc_streamed = weighted_vc_protocol_streaming(
-        el, weights, kMachines, vc_stream_rng, &pool);
-    EXPECT_EQ(vc_barrier.solution.vertices(), vc_streamed.solution.vertices());
-    EXPECT_DOUBLE_EQ(vc_barrier.cover_cost, vc_streamed.cover_cost);
-    EXPECT_EQ(vc_barrier.weight_classes, vc_streamed.weight_classes);
-    EXPECT_EQ(vc_barrier_rng.next_u64(), vc_stream_rng.next_u64());
+    Rng rng(seed);
+    const WeightedMatchingProtocolResult r =
+        weighted_matching_protocol(w, kMachines, 0, rng, &pool);
+    const Matching reference =
+        compose_weighted_coresets(r.summaries, w.num_vertices, 0);
+    EXPECT_EQ(sorted_edges(r.solution), sorted_edges(reference));
+    EXPECT_DOUBLE_EQ(r.matching_weight, matching_weight(reference, w));
+    Rng reference_rng = coordinator_rng(w, kMachines, seed);
+    EXPECT_EQ(rng.next_u64(), reference_rng.next_u64());
   }
 }
 
-TEST(StreamingEngine, CanonicalEdcsCombinerMatchesBarrierSeedForSeed) {
-  // The EDCS round-combiner through the multi-round executor: canonical
-  // streaming must replay the barrier fold word for word — matched edges,
-  // ledger communication, round count, and memory peaks — pooled and not,
-  // in both the one-round default regime and the degenerate beta = 2 regime
-  // whose survivors force a second engine round.
+TEST(StreamingEngine, EdcsCombinerPooledMatchesSequentialSeedForSeed) {
+  // The EDCS round-combiner through the multi-round executor: a pooled run,
+  // whose absorbs overlap the machine phase, must replay the sequential run
+  // word for word — matched edges, ledger communication, round count, and
+  // memory peaks — in both the one-round default regime and the degenerate
+  // beta = 2 regime whose survivors force a second engine round.
   struct Regime {
     EdgeList edges;
     EdcsRoundsConfig edcs;
@@ -174,38 +155,29 @@ TEST(StreamingEngine, CanonicalEdcsCombinerMatchesBarrierSeedForSeed) {
   }
   for (const Regime& regime : regimes) {
     for (std::uint64_t seed : {7u, 22u}) {
-      for (const bool pooled : {false, true}) {
-        ThreadPool pool(4);
-        ThreadPool* p = pooled ? &pool : nullptr;
-        MpcEngineConfig barrier_config;
-        barrier_config.mpc.num_machines = 4;
-        barrier_config.mpc.memory_words = std::uint64_t{1} << 40;
-        barrier_config.max_rounds = 32;
-        MpcEngineConfig stream_config = barrier_config;
-        stream_config.streaming_fold = true;
+      ThreadPool pool(4);
+      MpcEngineConfig config;
+      config.mpc.num_machines = 4;
+      config.mpc.memory_words = std::uint64_t{1} << 40;
+      config.max_rounds = 32;
 
-        Rng barrier_rng(seed);
-        const EdcsMpcResult barrier = run_matching_rounds_edcs(
-            regime.edges, barrier_config, regime.edcs, 0, barrier_rng, p);
-        Rng stream_rng(seed);
-        const EdcsMpcResult streamed = run_matching_rounds_edcs(
-            regime.edges, stream_config, regime.edcs, 0, stream_rng, p);
+      Rng seq_rng(seed);
+      const EdcsMpcResult seq = run_matching_rounds_edcs(
+          regime.edges, config, regime.edcs, 0, seq_rng);
+      Rng par_rng(seed);
+      const EdcsMpcResult par = run_matching_rounds_edcs(
+          regime.edges, config, regime.edcs, 0, par_rng, &pool);
 
-        EXPECT_EQ(sorted_edges(barrier.matching),
-                  sorted_edges(streamed.matching))
-            << "seed=" << seed << " pooled=" << pooled
-            << " beta=" << regime.edcs.edcs.beta;
-        EXPECT_EQ(barrier.cover.vertices(), streamed.cover.vertices());
-        EXPECT_EQ(barrier.stats.total_comm_words,
-                  streamed.stats.total_comm_words);
-        EXPECT_EQ(barrier.stats.engine_rounds, streamed.stats.engine_rounds);
-        EXPECT_EQ(barrier.max_memory_words, streamed.max_memory_words);
-        EXPECT_EQ(barrier.stats.round_peak_words,
-                  streamed.stats.round_peak_words);
-        EXPECT_EQ(barrier.certified, streamed.certified);
-        // Same coordinator RNG stream position on exit.
-        EXPECT_EQ(barrier_rng.next_u64(), stream_rng.next_u64());
-      }
+      EXPECT_EQ(sorted_edges(seq.matching), sorted_edges(par.matching))
+          << "seed=" << seed << " beta=" << regime.edcs.edcs.beta;
+      EXPECT_EQ(seq.cover.vertices(), par.cover.vertices());
+      EXPECT_EQ(seq.stats.total_comm_words, par.stats.total_comm_words);
+      EXPECT_EQ(seq.stats.engine_rounds, par.stats.engine_rounds);
+      EXPECT_EQ(seq.max_memory_words, par.max_memory_words);
+      EXPECT_EQ(seq.stats.round_peak_words, par.stats.round_peak_words);
+      EXPECT_EQ(seq.certified, par.certified);
+      // Same coordinator RNG stream position on exit.
+      EXPECT_EQ(seq_rng.next_u64(), par_rng.next_u64());
     }
   }
 }
@@ -229,7 +201,6 @@ TEST(StreamingEngine, ArrivalOrderEdcsKeepsInvariantsAcrossThreadCounts) {
     for (std::size_t threads : {1u, 2u, 8u}) {
       ThreadPool pool(threads);
       MpcEngineConfig config = canonical_config;
-      config.streaming_fold = true;
       config.streaming.order = StreamingOrder::kArrival;
       Rng rng(seed);
       const EdcsMpcResult r =
@@ -260,7 +231,7 @@ TEST(StreamingEngine, BoundedQueueCapacitiesPreserveCanonicalEquality) {
     StreamingOptions opts;
     opts.queue_capacity = capacity;
     Rng rng(10);
-    const MatchingProtocolResult streamed = run_matching_protocol_streaming(
+    const MatchingProtocolResult streamed = run_matching_protocol(
         el, kMachines, coreset, ComposeSolver::kMaximum, 0, rng, &pool, opts);
     EXPECT_EQ(sorted_edges(reference.solution), sorted_edges(streamed.solution))
         << "capacity=" << capacity;
@@ -279,7 +250,7 @@ TEST(StreamingEngine, ArrivalOrderKeepsInvariantsAcrossThreadCounts) {
     for (std::size_t threads : {1u, 2u, 8u}) {
       ThreadPool pool(threads);
       Rng m_rng(seed);
-      const MatchingProtocolResult m = run_matching_protocol_streaming(
+      const MatchingProtocolResult m = run_matching_protocol(
           el, kMachines, matching_coreset, ComposeSolver::kMaximum, 0, m_rng,
           &pool, arrival);
       EXPECT_TRUE(m.solution.valid());
@@ -289,8 +260,8 @@ TEST(StreamingEngine, ArrivalOrderKeepsInvariantsAcrossThreadCounts) {
           << "threads=" << threads;
 
       Rng c_rng(seed);
-      const VcProtocolResult c = run_vc_protocol_streaming(
-          el, kMachines, vc_coreset, c_rng, &pool, arrival);
+      const VcProtocolResult c = run_vc_protocol(el, kMachines, vc_coreset,
+                                                 c_rng, &pool, arrival);
       EXPECT_TRUE(c.solution.covers(el)) << "threads=" << threads;
     }
   }
@@ -321,46 +292,21 @@ TEST(StreamingEngine, SequentialRunReportsFullPipeliningTelemetry) {
     const auto account = [](const EdgeList& s) {
       return MessageSize{s.num_edges(), 0};
     };
-    auto result = run_protocol_streaming<Edge>(
+    auto result = run_protocol<Edge>(
         std::span<const Edge>(el.edges().data(), el.num_edges()),
         el.num_vertices(), kMachines, 0, rng, nullptr, build, account, probe);
-    EXPECT_TRUE(result.streaming.streamed);
     EXPECT_EQ(result.streaming.absorbed_while_machines_ran, kMachines - 1);
     EXPECT_TRUE(result.solution.valid());
   }
-}
-
-TEST(StreamingEngine, BarrierWrapperReportsNoStreaming) {
-  const MaximumMatchingCoreset coreset;
-  Rng gen(14);
-  const EdgeList el = gnp(100, 0.05, gen);
-  Rng rng(14);
-  const auto build = [&](EdgeSpan piece, const PartitionContext& ctx,
-                         Rng& machine_rng) {
-    return coreset.build(piece, ctx, machine_rng);
-  };
-  const auto account = [](const EdgeList& s) {
-    return MessageSize{s.num_edges(), 0};
-  };
-  const auto combine = [&](std::vector<EdgeList>& summaries, Rng& r) {
-    return compose_matching_coresets(summaries, ComposeSolver::kGreedy, 0, r);
-  };
-  auto result = run_protocol<Edge>(
-      std::span<const Edge>(el.edges().data(), el.num_edges()),
-      el.num_vertices(), kMachines, 0, rng, nullptr, build, account, combine);
-  EXPECT_FALSE(result.streaming.streamed);
-  EXPECT_EQ(result.streaming.absorbed_while_machines_ran, 0u);
 }
 
 TEST(StreamingEngine, FlagsRoundTripIntoStreamingOptions) {
   Options options("streaming_engine_test");
   add_streaming_flags(options);
   add_streaming_flags(options);  // idempotent: double registration is a no-op
-  const char* argv[] = {"test", "--engine-streaming=true",
-                        "--engine-streaming-order=arrival",
+  const char* argv[] = {"test", "--engine-streaming-order=arrival",
                         "--engine-queue-capacity=3"};
-  options.parse(4, const_cast<char**>(argv));
-  EXPECT_TRUE(streaming_enabled_from_options(options));
+  options.parse(3, const_cast<char**>(argv));
   const StreamingOptions opts = streaming_options_from_options(options);
   EXPECT_EQ(opts.order, StreamingOrder::kArrival);
   EXPECT_EQ(opts.queue_capacity, 3u);
@@ -380,6 +326,15 @@ TEST(StreamingEngine, ShmTransportFlagsRoundTripIntoStreamingOptions) {
   EXPECT_EQ(opts.shm.timeout_ms, 2500);
   EXPECT_EQ(opts.socket.timeout_ms, 2500);
   EXPECT_EQ(opts.shm.ring_bytes, 65536u);
+}
+
+TEST(StreamingEngineDeath, StreamingToggleIsAnUnknownFlag) {
+  // Every driver streams, so there is no on/off flag to parse.
+  Options options("streaming_engine_test");
+  add_streaming_flags(options);
+  const char* argv[] = {"test", "--engine-streaming=true"};
+  EXPECT_EXIT(options.parse(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "unknown flag --engine-streaming");
 }
 
 TEST(StreamingEngineDeath, UnknownOrderValueExitsStrictly) {
@@ -547,16 +502,6 @@ TEST(EntryPointPins, GroupedVcProtocol) {
     return observe(seed, r.solution, r.comm.total_words(),
                    r.comm.max_machine_words(), 1, rng);
   });
-}
-
-WeightedEdgeList weighted_path_multigraph(Rng& gen) {
-  WeightedEdgeList w;
-  w.num_vertices = 120;
-  for (int i = 0; i < 900; ++i) {
-    const auto u = static_cast<VertexId>(gen.next_below(119));
-    w.add(u, static_cast<VertexId>(u + 1), gen.uniform_real(0.5, 16.0));
-  }
-  return w;
 }
 
 TEST(EntryPointPins, WeightedMatchingProtocol) {

@@ -21,6 +21,10 @@ the threshold on their own — the numbers are for humans reading the job log,
 the checked-in baseline (BENCH_PR5.json) is the reference measured on a
 quiet machine.
 
+Both files must report the same scale and the same thread count (a file
+without a "threads" field counts as a mismatch); otherwise the tool refuses
+to compare.
+
 The comparison checks the machine's 1-minute load average first
 (--load-threshold, default 0.2): above it, other work was competing for the
 CPU while the current numbers were taken, so every row is marked UNTRUSTED,
@@ -83,6 +87,15 @@ def main():
             f"{cur.get('scale')} — compare against the baseline checked in "
             f"for that scale (BENCH_PR5.json is scale 1.0, "
             f"BENCH_PR5_scale025.json is the CI scale)")
+    # A missing thread count is a mismatch too: a baseline that does not
+    # say how many threads it ran on cannot vouch for a like-for-like run.
+    if ("threads" not in base or "threads" not in cur
+            or base["threads"] != cur["threads"]):
+        raise SystemExit(
+            f"threads mismatch: baseline ran with threads="
+            f"{base.get('threads')}, current with threads="
+            f"{cur.get('threads')} — re-run bench_suite with --threads "
+            f"{base.get('threads')} (every checked-in baseline is threads=1)")
     base_rows = {row_key(r): r for r in base["rows"]}
     cur_rows = {row_key(r): r for r in cur["rows"]}
 

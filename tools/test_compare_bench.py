@@ -7,7 +7,8 @@ fixtures, pinning the behaviors CI leans on:
   * the ±threshold band: a row exactly AT the threshold stays steady, one
     just past it counts (regression or improvement),
   * --fail-on-regression: exit 1 on a trusted regression, exit 0 otherwise,
-  * the scale-mismatch guard refuses to compare baselines across scales,
+  * the scale- and thread-mismatch guards refuse to compare baselines
+    across scales or thread counts (a missing thread count is a mismatch),
   * the load-average gate: an untrusted comparison tags rows UNTRUSTED and
     suppresses --fail-on-regression. The machine's real load is whatever it
     is, so the fixtures force each side: --load-threshold -1 makes any load
@@ -28,8 +29,8 @@ TRUSTED = ["--load-threshold", "1e9"]
 UNTRUSTED = ["--load-threshold", "-1"]
 
 
-def suite(scale, seconds_by_row):
-    return {
+def suite(scale, seconds_by_row, threads=1):
+    data = {
         "scale": scale,
         "rows": [
             {"scenario": s, "family": f, "k": k, "rounds": r,
@@ -37,6 +38,9 @@ def suite(scale, seconds_by_row):
             for (s, f, k, r), sec in seconds_by_row.items()
         ],
     }
+    if threads is not None:
+        data["threads"] = threads
+    return data
 
 
 class CompareBenchTest(unittest.TestCase):
@@ -106,6 +110,15 @@ class CompareBenchTest(unittest.TestCase):
         result = self.run_tool(base, cur, *TRUSTED)
         self.assertNotEqual(result.returncode, 0)
         self.assertIn("scale mismatch", result.stdout)
+
+    def test_thread_mismatch_refuses_to_compare(self):
+        base = self.write("base.json", suite(1.0, {self.ROW: 1.0}, threads=1))
+        for threads in (4, None):  # a different count, then no count at all
+            cur = self.write("cur.json",
+                             suite(1.0, {self.ROW: 1.0}, threads=threads))
+            result = self.run_tool(base, cur, *TRUSTED)
+            self.assertNotEqual(result.returncode, 0, result.stdout)
+            self.assertIn("threads mismatch", result.stdout)
 
     def test_missing_rows_never_fail(self):
         base = self.write("base.json", suite(1.0, {
