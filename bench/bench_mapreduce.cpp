@@ -4,6 +4,7 @@
 // Lattanzi et al. [46] needs 2 rounds per filter iteration plus a finish —
 // the paper quotes ~6 rounds end to end at O~(n sqrt n) memory.
 #include <cmath>
+#include <limits>
 
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
@@ -82,7 +83,11 @@ int main(int argc, char** argv) {
                  TablePrinter::fmt(std::uint64_t{cv.rounds}),
                  TablePrinter::fmt(cv.max_memory_words),
                  TablePrinter::fmt(std::uint64_t{cv.cover.size()}), "-"});
-  const FilteringMpcResult fm = filtering_mpc(el, cfg, rng);
+  const FilteringMpcResult fm = filtering_mpc_rounds(
+      el,
+      MpcEngineConfig{.mpc = cfg,
+                      .max_rounds = std::numeric_limits<std::size_t>::max()},
+      rng);
   table.add_row(
       {"filtering [46]", "matching + VC",
        TablePrinter::fmt(std::uint64_t{fm.rounds}),

@@ -9,11 +9,11 @@
 // the canonical reorder buffer is the worst case that still overlaps — and
 // measures:
 //
-//   * wall seconds of canonical and arrival order on the thread pool, and of
-//     canonical order without a pool (machine by machine),
+//   * wall seconds of the canonical fold on the thread pool and without a
+//     pool (machine by machine),
 //   * the overlap telemetry: how many summaries the coordinator absorbed
-//     while at least one machine was still building (> 0 on the pool is
-//     what streaming exists to create),
+//     before it received the last one (> 0 on the pool is what streaming
+//     exists to create),
 //   * that canonical order on the pool returns the exact matching and comm
 //     words of the sequential run.
 //
@@ -112,20 +112,16 @@ int main(int argc, char** argv) {
   ThreadPool pool;
   std::vector<Row> rows;
 
-  const auto run_mode = [&](const std::string& mode, StreamingOrder order,
-                            ThreadPool* mode_pool) {
+  const auto run_mode = [&](const std::string& mode, ThreadPool* mode_pool) {
     Row row;
     row.mode = mode;
     row.seconds = 1e100;
-    StreamingOptions sopts;
-    sopts.order = order;
     for (int rep = 0; rep < reps; ++rep) {
       Rng rng(seed);
       WallTimer timer;
       GreedyMergeFold fold(n);
       auto r = run_protocol_on_pieces<Edge>(pieces_of(pieces), n, 0, rng,
-                                            mode_pool, build, account, fold,
-                                            sopts);
+                                            mode_pool, build, account, fold);
       Row sample;
       sample.mode = mode;
       sample.seconds = timer.seconds();
@@ -133,17 +129,15 @@ int main(int argc, char** argv) {
       sample.matching = r.solution.size();
       sample.comm = r.comm.total_words();
       // Keep the whole fastest rep: its overlap is the one that explains
-      // its wall time (overlap varies with scheduling in arrival mode).
+      // its wall time (overlap varies with scheduling on the pool).
       if (sample.seconds < row.seconds) row = sample;
     }
     rows.push_back(row);
     return row;
   };
 
-  const Row sequential =
-      run_mode("sequential", StreamingOrder::kCanonical, nullptr);
-  const Row canonical = run_mode("canonical", StreamingOrder::kCanonical, &pool);
-  const Row arrival = run_mode("arrival", StreamingOrder::kArrival, &pool);
+  const Row sequential = run_mode("sequential", nullptr);
+  const Row canonical = run_mode("canonical", &pool);
 
   TablePrinter table({"mode", "wall_s", "overlap", "matching", "comm_words"});
   for (const Row& row : rows) {
@@ -155,10 +149,10 @@ int main(int argc, char** argv) {
   table.print();
 
   // The claims this bench pins: the coordinator starts absorbing before the
-  // last machine finishes (overlap > 0 in both pooled modes), and canonical
-  // order on the pool pays for its overlap with zero result drift from the
+  // last summary arrives (overlap > 0 on the pool), and the canonical fold
+  // on the pool pays for its overlap with zero result drift from the
   // sequential run.
-  const bool overlap_ok = canonical.overlap > 0 && arrival.overlap > 0;
+  const bool overlap_ok = canonical.overlap > 0;
   const bool exact_ok = canonical.matching == sequential.matching &&
                         canonical.comm == sequential.comm;
   const bool shape_ok = overlap_ok && exact_ok;
@@ -191,8 +185,8 @@ int main(int argc, char** argv) {
   }
 
   bench::verdict(shape_ok,
-                 "streaming folds absorb summaries while the skewed shard is "
-                 "still building, and canonical order on the pool reproduces "
-                 "the sequential matching and comm words exactly");
+                 "the streaming fold absorbs summaries while the skewed shard "
+                 "is still building, and on the pool it reproduces the "
+                 "sequential matching and comm words exactly");
   return shape_ok ? 0 : 1;
 }

@@ -15,6 +15,7 @@
 // Run:  ./mapreduce_vertex_cover --n 3000 --mpc-rounds 2
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "distributed/message.hpp"
 #include "graph/generators.hpp"
@@ -61,7 +62,11 @@ int main(int argc, char** argv) {
       MpcEngineConfig{
           .mpc = cfg, .max_rounds = 1, .input_already_random = false},
       rng);
-  const FilteringMpcResult filtering = filtering_mpc(similarity, cfg, rng);
+  const FilteringMpcResult filtering = filtering_mpc_rounds(
+      similarity,
+      MpcEngineConfig{.mpc = cfg,
+                      .max_rounds = std::numeric_limits<std::size_t>::max()},
+      rng);
 
   TablePrinter table({"algorithm", "rounds", "peak memory (words)",
                       "cover size", "feasible"});

@@ -5,11 +5,9 @@
 // its summary from its zero-copy shard (thread pool; one task per machine;
 // independent forked RNG streams) -> the coordinator absorbs the summaries
 // as they land and solves once the last one is in, with no further
-// interaction. The trailing StreamingOptions picks the absorb order and the
-// machine-phase transport; the default (canonical order, in process) is
-// seed-for-seed reproducible, and so is every transport in canonical order.
-// kArrival absorbs in completion order, which guarantees only the
-// protocol's invariants (validity / feasibility), not the exact solution.
+// interaction. The trailing StreamingOptions picks the machine-phase
+// transport; absorbs always run in machine-id order, so every transport
+// replays the default in-process run seed for seed.
 #pragma once
 
 #include <vector>

@@ -11,14 +11,8 @@ namespace rcc {
 void add_streaming_flags(Options& options) {
   // Idempotent: add_mpc_engine_flags registers this bundle too, and a
   // driver may legitimately call both.
-  if (options.has("engine-streaming-order")) return;
+  if (options.has("engine-transport")) return;
   options
-      .flag("engine-streaming-order", "canonical",
-            "coordinator absorb order: 'canonical' (reorder buffer, "
-            "seed-for-seed reproducible) or 'arrival'")
-      .flag("engine-queue-capacity", "0",
-            "completion-queue slots between machines and the coordinator "
-            "(0 = one per machine, producers never block)")
       .flag("engine-transport", "inproc",
             "machine-phase transport: 'inproc' (threads + completion "
             "queue), 'socket' (forked worker processes streaming framed "
@@ -40,26 +34,6 @@ void add_streaming_flags(Options& options) {
 
 StreamingOptions streaming_options_from_options(const Options& options) {
   StreamingOptions opts;
-  const std::string order = options.get_string("engine-streaming-order");
-  if (order == "canonical") {
-    opts.order = StreamingOrder::kCanonical;
-  } else if (order == "arrival") {
-    opts.order = StreamingOrder::kArrival;
-  } else {
-    std::fprintf(stderr,
-                 "flag --engine-streaming-order: '%s' is not one of "
-                 "'arrival', 'canonical'\n",
-                 order.c_str());
-    std::exit(2);
-  }
-  const std::int64_t capacity = options.get_int("engine-queue-capacity");
-  if (capacity < 0) {
-    std::fprintf(stderr,
-                 "flag --engine-queue-capacity: %lld must be >= 0\n",
-                 static_cast<long long>(capacity));
-    std::exit(2);
-  }
-  opts.queue_capacity = static_cast<std::size_t>(capacity);
   const std::string transport = options.get_string("engine-transport");
   if (transport == "inproc") {
     opts.transport = EngineTransport::kInproc;

@@ -21,20 +21,17 @@
 // protocol.hpp / protocols.hpp / weighted_*_protocol.hpp is one call to
 // run_protocol (or run_protocol_on_pieces for a caller-made partition).
 //
-// The combine phase is a STREAMING fold: machines push completed summaries
-// into a bounded completion queue and a StreamingFold (`init / absorb
-// (summary, machine) / finish`) consumes them as they land, overlapping the
-// machine and combine phases so the coordinator is not gated on the
-// slowest shard. StreamingOrder::kCanonical (the default) keeps the repo's
-// seed-for-seed determinism contract: a small reorder buffer keyed on
-// machine id absorbs in machine-id order, so the result does not depend on
-// thread scheduling or transport. StreamingOrder::kArrival absorbs in
-// completion order — the fastest overlap, for folds whose result is
-// absorb-order independent.
+// The combine phase is a STREAMING fold: the coordinator absorbs each
+// machine summary as it lands (a StreamingFold: `init / absorb(summary,
+// machine) / finish`), overlapping the machine and combine phases so the
+// coordinator is not gated on the slowest shard. Absorbs run in machine-id
+// order: every machine-phase shape (sequential, thread pool, socket or shm
+// workers) only reports the next completed machine id, and one reorder
+// buffer releases the ids in ascending order, so the result does not
+// depend on thread scheduling or transport.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -67,17 +64,9 @@ struct ProtocolTiming {
   double combine_seconds = 0.0;    // the fold's finish call
 };
 
-/// Absorb scheduling of the streaming combine path.
-enum class StreamingOrder {
-  kCanonical,  // absorb in machine-id order via a reorder buffer —
-               // seed-for-seed reproducible across pools and transports
-  kArrival,    // absorb in completion order — maximal overlap, only for
-               // folds whose result is absorb-order independent
-};
-
 /// How machine summaries reach the coordinator.
 enum class EngineTransport {
-  kInproc,  // shared address space: thread pool + completion queue
+  kInproc,  // shared address space: sequential, or a thread pool
   kSocket,  // k forked worker processes streaming framed summaries over
             // loopback TCP (summary_wire.hpp / socket_transport.hpp)
   kShm,     // k forked worker processes exchanging the same frames through
@@ -85,12 +74,8 @@ enum class EngineTransport {
             // when a multi-round executor provides a pool slot
 };
 
-/// Knobs of the streaming combine path.
+/// Knobs of the machine phase's transport.
 struct StreamingOptions {
-  StreamingOrder order = StreamingOrder::kCanonical;
-  /// Completion-queue slots between the machines and the coordinator;
-  /// 0 sizes the queue to k so producers never block on a slow consumer.
-  std::size_t queue_capacity = 0;
   /// Where the machine phase runs. kSocket and kShm require a
   /// WireSerializable summary type and ignore the thread pool — the worker
   /// processes ARE the parallelism.
@@ -133,13 +118,12 @@ struct TransportTelemetry {
 
 /// What the streaming fold observed.
 struct StreamingTelemetry {
-  /// Summaries the coordinator absorbed BEFORE the machine phase finished
-  /// (i.e. before the last summary was built): the pipelining the streaming
-  /// fold exists to create — 0 when every summary lands after the phase,
-  /// up to k-1 on a perfectly skewed one. With a thread
-  /// pool this is wall-clock machine/combine overlap; on a sequential run
-  /// it measures the same interleaving (absorb i precedes build i+1), just
-  /// without concurrency.
+  /// Summaries the coordinator absorbed before it received the k-th (last)
+  /// completed summary: the pipelining the streaming fold exists to
+  /// create — 0 when every absorb waits for the last machine, up to k-1.
+  /// With a thread pool or worker processes this is wall-clock
+  /// machine/combine overlap; a sequential run reports k-1, the same
+  /// interleaving (absorb i precedes build i+1) without concurrency.
   std::size_t absorbed_while_machines_ran = 0;
 };
 
@@ -168,9 +152,9 @@ struct ProtocolResult {
 /// The StreamingFold contract:
 ///
 ///   fold.init(k)                      optional; before any machine runs
-///   fold.absorb(summary, machine)     once per machine, in opts.order; runs
-///       on the CALLER's thread, overlapped with other machines' build calls
-///       — it must not mutate state the build phase reads. The summary's
+///   fold.absorb(summary, machine)     once per machine, in machine-id order;
+///       runs on the CALLER's thread, overlapped with other machines' build
+///       calls — it must not mutate state the build phase reads. The summary's
 ///       message cost is accounted before the call, so absorb may move the
 ///       summary's contents out. A fold that needs the cost (e.g. to charge
 ///       a ledger) declares absorb(summary, machine, const MessageSize&)
@@ -182,7 +166,7 @@ struct ProtocolResult {
 ///
 /// RNG discipline: k machine streams are forked up front, absorb draws
 /// nothing, finish gets the coordinator's rng — so the caller's rng ends at
-/// the same position whatever the pool, order, or transport.
+/// the same position whatever the pool or transport.
 template <typename EdgeT, typename Build, typename Account, typename StreamFold>
 auto run_protocol_on_pieces(
     const std::vector<std::span<const EdgeT>>& pieces, VertexId num_vertices,
@@ -244,35 +228,19 @@ auto run_protocol_on_pieces(
       fold.absorb(result.summaries[id], id);
     }
   };
-  // Cross-process transports share one collect loop: pull k frames off the
-  // transport in arrival order — the exact role CompletionQueue::pop plays
-  // in-process — decode, and absorb through the same CanonicalReorder, so
-  // folds, accounting, and RNG draws carry over unchanged. (A generic
-  // lambda, called only from the WireSerializable branch below; `frame`
-  // stays type-dependent on the lambda parameter so the decode call is not
-  // checked for non-serializable summaries.)
-  const auto collect_frames = [&](auto&& next_frame) {
+  // The one collect loop. Every machine-phase shape is a source of the next
+  // completed machine id, its summary already in result.summaries; one
+  // CanonicalReorder releases the ids in machine-id order, so folds,
+  // accounting and RNG draws are the same whatever the shape.
+  const auto collect = [&](auto&& next_completed) {
     CanonicalReorder reorder(k);
-    for (std::size_t received = 0; received < k; ++received) {
-      auto frame = next_frame();
-      const std::size_t id = frame.header.machine;
-      result.summaries[id] =
-          decode_frame_payload<Summary>(frame.header, frame.payload.data());
-      const auto absorb = [&](std::size_t m) {
-        if (received + 1 < k) {
-          ++result.streaming.absorbed_while_machines_ran;
-        }
-        deliver(m);
-      };
-      if (opts.order == StreamingOrder::kArrival) {
-        absorb(id);
-      } else {
-        reorder.complete(id, absorb);
-      }
+    for (std::size_t received = 1; received <= k; ++received) {
+      reorder.complete(next_completed(), [&](std::size_t id) {
+        if (received < k) ++result.streaming.absorbed_while_machines_ran;
+        deliver(id);
+      });
     }
-    if (opts.order == StreamingOrder::kCanonical) {
-      RCC_CHECK(reorder.drained());
-    }
+    RCC_CHECK(reorder.drained());
   };
   if (opts.transport != EngineTransport::kInproc) {
     // Cross-process machine phase: k worker processes, each forked AFTER
@@ -286,6 +254,15 @@ auto run_protocol_on_pieces(
                 "FaultPlan::kill_round > 0 needs a persistent shm pool");
       result.transport.kind = opts.transport;
       result.transport.frames = k;
+      // A frame source (socket collector or shm pool) as an id source:
+      // decode the next completed frame into its machine's slot.
+      const auto decode_next = [&](auto& frames) {
+        const auto frame = frames.next_ready();
+        const std::size_t id = frame.header.machine;
+        result.summaries[id] =
+            decode_frame_payload<Summary>(frame.header, frame.payload.data());
+        return id;
+      };
       if (opts.transport == EngineTransport::kSocket) {
         // Loopback sockets: fresh workers per call, one connection each.
         LoopbackListener listener(opts.socket.leader_port);
@@ -302,7 +279,7 @@ auto run_protocol_on_pieces(
         });
         {
           FrameCollector collector(listener, k, opts.socket.timeout_ms);
-          collect_frames([&] { return collector.next_ready(); });
+          collect([&] { return decode_next(collector); });
           result.transport.wire_bytes = collector.wire_bytes();
           result.transport.forks = k;
         }
@@ -358,7 +335,7 @@ auto run_protocol_on_pieces(
                 pieces[i].size() * sizeof(Edge));
           }
         }
-        collect_frames([&] { return worker_pool.next_ready(); });
+        collect([&] { return decode_next(worker_pool); });
         result.transport.wire_bytes = worker_pool.wire_bytes() - wire_before;
         result.transport.piece_bytes =
             worker_pool.piece_bytes() - piece_before;
@@ -370,46 +347,27 @@ auto run_protocol_on_pieces(
                  "wire-serializable summary");
     }
   } else if (pool == nullptr || pool->size() == 1 || k == 1) {
-    // Sequential: build and absorb alternate machine by machine, so arrival
-    // order IS canonical order and every absorb but the last overlaps an
-    // unfinished machine in the schedule sense. A one-worker pool takes this
-    // branch too — it admits no machine/absorb overlap, so the dispatch
-    // (one futex wake per machine while the coordinator blocks on the
-    // completion queue) is pure overhead on top of the same schedule.
-    for (std::size_t i = 0; i < k; ++i) {
-      result.summaries[i] = build_shard(i);
-      deliver(i);
-      if (i + 1 < k) ++result.streaming.absorbed_while_machines_ran;
-    }
+    // Sequential: build and absorb alternate machine by machine. A
+    // one-worker pool takes this branch too — it admits no machine/absorb
+    // overlap, so the dispatch (one futex wake per machine while the
+    // coordinator blocks on the completion queue) is pure overhead on top of
+    // the same schedule.
+    std::size_t next = 0;
+    collect([&] {
+      result.summaries[next] = build_shard(next);
+      return next++;
+    });
   } else {
-    CompletionQueue queue(opts.queue_capacity == 0 ? k : opts.queue_capacity);
-    std::atomic<std::size_t> building{k};
+    // Thread pool: each task builds its machine's summary, then publishes
+    // the id (the queue's mutex is the happens-before edge to the absorb).
+    CompletionQueue queue(k);
     for (std::size_t i = 0; i < k; ++i) {
       pool->submit([&, i] {
         result.summaries[i] = build_shard(i);
-        building.fetch_sub(1, std::memory_order_release);
         queue.push(i);
       });
     }
-    const auto absorb = [&](std::size_t id) {
-      if (building.load(std::memory_order_acquire) > 0) {
-        ++result.streaming.absorbed_while_machines_ran;
-      }
-      deliver(id);
-    };
-    if (opts.order == StreamingOrder::kArrival) {
-      for (std::size_t done = 0; done < k; ++done) absorb(queue.pop());
-    } else {
-      // Canonical order: the reorder buffer releases machine ids in
-      // ascending order; an id is absorbable once every lower id has been.
-      // The same CanonicalReorder sits on top of the socket transport's
-      // frame collector above — one copy of the determinism mechanism.
-      CanonicalReorder reorder(k);
-      for (std::size_t done = 0; done < k; ++done) {
-        reorder.complete(queue.pop(), absorb);
-      }
-      RCC_CHECK(reorder.drained());
-    }
+    collect([&] { return queue.pop(); });
     pool->wait_idle();
   }
   result.timing.summaries_seconds = timer.seconds();
@@ -452,9 +410,7 @@ auto run_protocol(std::span<const EdgeT> edges, VertexId num_vertices,
   return result;
 }
 
-/// Registers the streaming combine + transport knobs on an Options parser:
-///   --engine-streaming-order       arrival | canonical (reorder buffer)
-///   --engine-queue-capacity        completion-queue slots (0 = one/machine)
+/// Registers the machine-phase transport knobs on an Options parser:
 ///   --engine-transport             inproc | socket (forked workers over
 ///                                  loopback) | shm (forked workers over
 ///                                  shared-memory rings)

@@ -10,7 +10,7 @@
 //    resulting *multigraph*; alpha-approx with O~(nk/alpha) communication.
 //
 // Each takes the engine's StreamingOptions last (see protocol.hpp for the
-// order / transport contract).
+// transport contract).
 #pragma once
 
 #include "distributed/protocol.hpp"

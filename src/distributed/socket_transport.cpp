@@ -229,8 +229,8 @@ void FrameCollector::pump(int deadline_ms_remaining) {
                        conn.header.machine, expected_);
       }
       // Claimed at HEADER-parse time, not completion: two concurrent
-      // connections claiming one id must fail on the second header, or the
-      // genuinely missing machine could absorb twice under arrival order.
+      // connections claiming one id must fail on the second header, naming
+      // the duplicate, before either frame reaches the reorder buffer.
       if (claimed_machine_[conn.header.machine] != 0) {
         transport_fail("duplicate frame for machine %u", conn.header.machine);
       }

@@ -185,32 +185,22 @@ struct BlossomState {
 
 void blossom_maximum_matching_into(Matching& out, const Graph& g,
                                    MachineScratch* scratch,
-                                   bool prune_hungarian_trees,
-                                   const Matching* warm_start) {
+                                   bool prune_hungarian_trees) {
   BlossomScratch local;
   BlossomScratch& bs =
       scratch != nullptr ? scratch->state<BlossomScratch>() : local;
   BlossomState st(g, bs, prune_hungarian_trees,
                   scratch != nullptr ? scratch->stats() : nullptr);
 
-  if (warm_start != nullptr) {
-    // Seed from the caller's matching (read before out.reset — the caller
-    // may pass &out). Validity of the seed is the caller's contract.
-    RCC_CHECK(warm_start->num_vertices() == g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      bs.mate[v] = warm_start->mate(v);
-    }
-  } else {
-    // Greedy initialization: removes most augmentation phases on random
-    // graphs.
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (bs.mate[v] != kInvalidVertex) continue;
-      for (VertexId w : g.neighbors(v)) {
-        if (bs.mate[w] == kInvalidVertex && w != v) {
-          bs.mate[v] = w;
-          bs.mate[w] = v;
-          break;
-        }
+  // Greedy initialization: removes most augmentation phases on random
+  // graphs.
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (bs.mate[v] != kInvalidVertex) continue;
+    for (VertexId w : g.neighbors(v)) {
+      if (bs.mate[w] == kInvalidVertex && w != v) {
+        bs.mate[v] = w;
+        bs.mate[w] = v;
+        break;
       }
     }
   }
@@ -234,11 +224,9 @@ void blossom_maximum_matching_into(Matching& out, const Graph& g,
 }
 
 Matching blossom_maximum_matching(const Graph& g, MachineScratch* scratch,
-                                  bool prune_hungarian_trees,
-                                  const Matching* warm_start) {
+                                  bool prune_hungarian_trees) {
   Matching result;
-  blossom_maximum_matching_into(result, g, scratch, prune_hungarian_trees,
-                                warm_start);
+  blossom_maximum_matching_into(result, g, scratch, prune_hungarian_trees);
   return result;
 }
 

@@ -45,20 +45,13 @@ struct BlossomScratch {
 /// provides the reusable working arrays; `prune_hungarian_trees` exists so
 /// differential tests can pit the pruned search against the exhaustive one
 /// (both are exact; pruning only skips provably dead exploration).
-/// `warm_start` (optional) seeds the solver with an existing valid matching
-/// of g instead of the greedy initialization pass — every tree search costs
-/// Omega(explored component), so entering with a near-maximum matching
-/// (e.g. after bounded augmenting-path passes) removes most searches.
 Matching blossom_maximum_matching(const Graph& g,
                                   MachineScratch* scratch = nullptr,
-                                  bool prune_hungarian_trees = true,
-                                  const Matching* warm_start = nullptr);
+                                  bool prune_hungarian_trees = true);
 
 /// As above, writing into a caller-reused Matching (reset internally).
-/// `warm_start == &out` is allowed (the seed is read out first).
 void blossom_maximum_matching_into(Matching& out, const Graph& g,
                                    MachineScratch* scratch = nullptr,
-                                   bool prune_hungarian_trees = true,
-                                   const Matching* warm_start = nullptr);
+                                   bool prune_hungarian_trees = true);
 
 }  // namespace rcc

@@ -1,6 +1,8 @@
 #include "mpc/mpc.hpp"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "partition/partition.hpp"
 
@@ -26,7 +28,15 @@ void MpcLedger::charge(std::size_t machine, std::uint64_t words) {
   RCC_CHECK(machine < config_.num_machines);
   RCC_CHECK(!round_labels_.empty());
   current_round_usage_[machine] += words;
-  RCC_CHECK(current_round_usage_[machine] <= config_.memory_words);
+  if (current_round_usage_[machine] > config_.memory_words) {
+    std::fprintf(stderr,
+                 "mpc ledger: round '%s': machine %zu would hold %llu words, "
+                 "budget %llu\n",
+                 round_labels_.back().c_str(), machine,
+                 static_cast<unsigned long long>(current_round_usage_[machine]),
+                 static_cast<unsigned long long>(config_.memory_words));
+    std::abort();
+  }
   round_peak_words_.back() =
       std::max(round_peak_words_.back(), current_round_usage_[machine]);
   max_memory_words_ = std::max(max_memory_words_, current_round_usage_[machine]);

@@ -7,8 +7,9 @@
 //                in any round (edges cost 2 words, vertex ids 1).
 // Machine computation is free in the model, so the simulator executes
 // reducers directly; what it *enforces* is the memory cap: any round that
-// would overfill a machine aborts the run (RCC_CHECK), exactly the
-// constraint that forces multi-round algorithms.
+// would overfill a machine aborts the run with a diagnostic naming the
+// round, the machine and the budget — exactly the constraint that forces
+// multi-round algorithms.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +41,10 @@ class MpcLedger {
   /// Declares a new round; per-machine residency resets.
   void begin_round(const std::string& label);
 
-  /// Records `words` resident on `machine` this round; aborts if the cap is
-  /// exceeded (the algorithm does not fit the model).
+  /// Records `words` resident on `machine` this round; aborts with an
+  /// "mpc ledger: round '<label>': machine <i> would hold <w> words, budget
+  /// <b>" diagnostic if the cap is exceeded (the algorithm does not fit the
+  /// model).
   void charge(std::size_t machine, std::uint64_t words);
 
   std::size_t rounds() const { return round_labels_.size(); }

@@ -82,8 +82,7 @@ struct MpcEngineConfig {
   /// fold requests it.
   bool early_stop = true;
 
-  /// Absorb order + completion-queue capacity of the round-combiner, plus
-  /// the machine-phase transport: EngineTransport::kSocket forks one worker
+  /// The machine-phase transport: EngineTransport::kSocket forks one worker
   /// process per machine each round and streams framed summaries over
   /// loopback; kShm does the same through shared-memory rings.
   StreamingOptions streaming;
@@ -253,8 +252,8 @@ struct MpcExecutionStats {
 };
 
 /// The round-combiner shape run_mpc_rounds takes: per-machine absorb plus an
-/// end-of-round finish, streamed through the engine's completion queue (in
-/// StreamingOrder::kCanonical, absorbed in machine-id order).
+/// end-of-round finish, streamed through the engine's collect loop (absorbed
+/// in machine-id order).
 template <typename Fold, typename Summary>
 concept StreamingRoundFold =
     requires(Fold& f, Summary& s, std::vector<Summary>& all,
@@ -463,10 +462,9 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
 ///   --mpc-random-input   input already randomly partitioned (skips the
 ///                        re-partition round)
 ///   --mpc-early-stop     stop when a round makes no progress
-/// plus the engine streaming and transport knobs (add_streaming_flags):
-///   --engine-streaming-order / --engine-queue-capacity / --engine-transport
-///   / --engine-transport-port / --engine-transport-timeout-ms
-///   / --engine-shm-ring-bytes
+/// plus the engine transport knobs (add_streaming_flags):
+///   --engine-transport / --engine-transport-port
+///   / --engine-transport-timeout-ms / --engine-shm-ring-bytes
 void add_mpc_engine_flags(Options& options);
 
 /// Reads the knobs registered by add_mpc_engine_flags back into a config for

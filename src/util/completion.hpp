@@ -1,16 +1,14 @@
-// Completion-order adapters shared by every transport behind the engine's
-// streaming combine path.
+// The reorder buffer behind the engine's streaming combine path.
 //
 // The ProtocolEngine's determinism story rests on one small mechanism: no
-// matter in which order machine summaries COMPLETE (thread scheduling for the
-// in-process CompletionQueue, frame arrival for the loopback socket
-// transport), StreamingOrder::kCanonical absorbs them in ascending machine-id
-// order, so every run consumes the coordinator's RNG and mutates the fold
-// draw-for-draw the same way. CanonicalReorder is that reorder
-// buffer, factored out of the engine so the in-process queue and the
-// cross-process frame collector release ids through the SAME code — the
-// seed-for-seed differential between the two transports then tests the
-// transports, not two copies of the reordering logic.
+// matter in which order machine summaries COMPLETE (sequentially, by thread
+// scheduling on the in-process CompletionQueue, or by frame arrival from
+// socket or shm workers), the coordinator absorbs them in ascending
+// machine-id order, so every run consumes the coordinator's RNG and mutates
+// the fold draw-for-draw the same way. The engine's one collect loop feeds
+// every machine-phase shape through one CanonicalReorder, so the
+// seed-for-seed differential between the transports tests the transports,
+// not copies of the reordering logic.
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,8 @@
 #include <sched.h>
 #endif
 
+#include "util/types.hpp"
+
 namespace rcc {
 
 ThreadPool::ThreadPool(std::size_t threads, ThreadPoolOptions options) {
@@ -129,13 +131,12 @@ void ThreadPool::worker_loop(std::size_t id) {
   }
 }
 
-CompletionQueue::CompletionQueue(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity) {}
+CompletionQueue::CompletionQueue(std::size_t capacity) : ring_(capacity) {}
 
 void CompletionQueue::push(std::size_t id) {
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_not_full_.wait(lock, [this] { return count_ < ring_.size(); });
+    std::lock_guard<std::mutex> lock(mutex_);
+    RCC_CHECK(count_ < ring_.size());
     ring_[(head_ + count_) % ring_.size()] = id;
     ++count_;
   }
@@ -143,15 +144,11 @@ void CompletionQueue::push(std::size_t id) {
 }
 
 std::size_t CompletionQueue::pop() {
-  std::size_t id;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_not_empty_.wait(lock, [this] { return count_ > 0; });
-    id = ring_[head_];
-    head_ = (head_ + 1) % ring_.size();
-    --count_;
-  }
-  cv_not_full_.notify_one();
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_not_empty_.wait(lock, [this] { return count_ > 0; });
+  const std::size_t id = ring_[head_];
+  head_ = (head_ + 1) % ring_.size();
+  --count_;
   return id;
 }
 

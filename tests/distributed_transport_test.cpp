@@ -704,9 +704,9 @@ TEST(DistributedTransportDeathTest, ConcurrentDuplicateMachineIdDies) {
       {
         // Two LIVE connections claim machine 0: the first parks after its
         // header, the second sends a complete frame. The duplicate must die
-        // at the second header parse — waiting for the first claimant to
-        // COMPLETE would let both absorb under arrival order while the
-        // genuinely missing machine 1 never times out.
+        // at the second header parse, naming it — waiting for the first
+        // claimant to COMPLETE would leave the failure to the reorder
+        // buffer, which names neither the duplicate nor missing machine 1.
         LoopbackListener listener(0);
         FrameCollector collector(listener, /*expected=*/2,
                                  /*timeout_ms=*/5000);

@@ -2,6 +2,8 @@
 // empty graphs, k larger than m, degenerate parameters, duplicate edges.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "coreset/compose.hpp"
 #include "coreset/matching_coresets.hpp"
 #include "coreset/vc_coreset.hpp"
@@ -98,7 +100,11 @@ TEST(EdgeCases, MaximumMatchingCoresetOnStar) {
 TEST(EdgeCases, FilteringMpcOnEmptyGraph) {
   Rng rng(9);
   MpcConfig cfg{4, 1000};
-  const FilteringMpcResult r = filtering_mpc(EdgeList(10), cfg, rng);
+  const FilteringMpcResult r = filtering_mpc_rounds(
+      EdgeList(10),
+      MpcEngineConfig{.mpc = cfg,
+                      .max_rounds = std::numeric_limits<std::size_t>::max()},
+      rng);
   EXPECT_EQ(r.maximal_matching.size(), 0u);
   EXPECT_EQ(r.rounds, 1u);
 }

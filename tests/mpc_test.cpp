@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
@@ -20,6 +21,13 @@ MpcEngineConfig one_round(const MpcConfig& mpc, bool input_already_random) {
   return MpcEngineConfig{.mpc = mpc,
                          .max_rounds = 1,
                          .input_already_random = input_already_random};
+}
+
+/// Filtering's classic loop on the executor: no round cap, so it runs until
+/// the residual fits on one machine.
+MpcEngineConfig unbounded(const MpcConfig& mpc) {
+  return MpcEngineConfig{.mpc = mpc,
+                         .max_rounds = std::numeric_limits<std::size_t>::max()};
 }
 
 TEST(MpcConfig, PaperDefaultScalesAsNSqrtN) {
@@ -46,7 +54,9 @@ TEST(MpcLedgerDeathTest, MemoryCapEnforced) {
   MpcLedger ledger(MpcConfig{2, 100});
   ledger.begin_round("r");
   ledger.charge(0, 60);
-  EXPECT_DEATH(ledger.charge(0, 60), "RCC_CHECK");
+  EXPECT_DEATH(ledger.charge(0, 60),
+               "mpc ledger: round 'r': machine 0 would hold 120 words, "
+               "budget 100");
 }
 
 TEST(MpcLedgerDeathTest, ChargeBeforeRoundAborts) {
@@ -98,7 +108,7 @@ TEST(FilteringMpc, ProducesMaximalMatchingAndCover) {
   MpcConfig cfg;
   cfg.num_machines = 10;
   cfg.memory_words = 2 * 8000;  // 8k edges per machine: forces filtering
-  const FilteringMpcResult r = filtering_mpc(el, cfg, rng);
+  const FilteringMpcResult r = filtering_mpc_rounds(el, unbounded(cfg), rng);
   EXPECT_TRUE(r.maximal_matching.maximal_in(el));
   EXPECT_TRUE(r.cover.covers(el));
   EXPECT_GE(r.filter_iterations, 1u);
@@ -112,7 +122,7 @@ TEST(FilteringMpc, SingleRoundWhenGraphFits) {
   MpcConfig cfg;
   cfg.num_machines = 4;
   cfg.memory_words = 10 * 2 * el.num_edges();
-  const FilteringMpcResult r = filtering_mpc(el, cfg, rng);
+  const FilteringMpcResult r = filtering_mpc_rounds(el, unbounded(cfg), rng);
   EXPECT_EQ(r.filter_iterations, 0u);
   EXPECT_EQ(r.rounds, 1u);
   EXPECT_TRUE(r.maximal_matching.maximal_in(el));
@@ -125,7 +135,7 @@ TEST(FilteringMpc, TwoApproximationGuarantee) {
   MpcConfig cfg;
   cfg.num_machines = 8;
   cfg.memory_words = 2 * 5000;
-  const FilteringMpcResult r = filtering_mpc(el, cfg, rng);
+  const FilteringMpcResult r = filtering_mpc_rounds(el, unbounded(cfg), rng);
   const std::size_t opt = maximum_matching_size(el);
   EXPECT_GE(2 * r.maximal_matching.size(), opt);
   EXPECT_LE(r.cover.size(), 2 * opt);
@@ -145,7 +155,8 @@ TEST(CoresetVsFiltering, CoresetUsesFewerRoundsAtPaperMemory) {
   ASSERT_GT(2 * el.num_edges(), cfg.memory_words);  // filtering must iterate
   const CoresetMpcMatchingResult coreset = coreset_mpc_matching_rounds(
       el, one_round(cfg, /*input_already_random=*/false), 0, rng);
-  const FilteringMpcResult filtering = filtering_mpc(el, cfg, rng);
+  const FilteringMpcResult filtering =
+      filtering_mpc_rounds(el, unbounded(cfg), rng);
   EXPECT_EQ(coreset.rounds, 2u);
   EXPECT_GE(filtering.rounds, 3u);
   EXPECT_LT(coreset.rounds, filtering.rounds);

@@ -17,6 +17,7 @@
 //     and the maximal-matching pairs satisfy |M| <= |V(M)| <= 2|M|.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -216,8 +217,12 @@ TEST(ProtocolProperties, FilteringSatisfiesTheDualitySandwich) {
       const std::size_t opt =
           maximum_matching_size(inst.edges, inst.left_size);
       Rng rng(seed);
-      const FilteringMpcResult r =
-          filtering_mpc(inst.edges, roomy_mpc_config(), rng);
+      const FilteringMpcResult r = filtering_mpc_rounds(
+          inst.edges,
+          MpcEngineConfig{
+              .mpc = roomy_mpc_config(),
+              .max_rounds = std::numeric_limits<std::size_t>::max()},
+          rng);
       expect_valid_matching(r.maximal_matching, inst, opt, "filtering");
       EXPECT_TRUE(r.maximal_matching.maximal_in(inst.edges)) << inst.name;
       expect_feasible_cover(r.cover, inst, opt, "filtering-cover");
@@ -283,33 +288,6 @@ TEST(ProtocolProperties, CanonicalFoldIsReproducibleOnTheFullGrid) {
           << "grouped cover on " << inst.name << " seed=" << seed;
       EXPECT_EQ(g_seq.comm.total_words(), g_par.comm.total_words());
       EXPECT_EQ(g_seq_rng.next_u64(), g_par_rng.next_u64());
-    }
-  }
-}
-
-TEST(ProtocolProperties, ArrivalOrderStreamingKeepsEveryInvariant) {
-  // Arrival order forfeits exact reproducibility, never correctness: every
-  // solution must still satisfy validity, feasibility, and the duality
-  // sandwich on every grid point.
-  StreamingOptions arrival;
-  arrival.order = StreamingOrder::kArrival;
-  ThreadPool pool(4);
-  for (std::uint64_t seed : kSeeds) {
-    for (const Instance& inst : instance_grid(seed)) {
-      const std::size_t opt =
-          maximum_matching_size(inst.edges, inst.left_size);
-      Rng m_rng(seed);
-      const MatchingProtocolResult m = coreset_matching_protocol(
-          inst.edges, kMachines, inst.left_size, m_rng, &pool, arrival);
-      expect_valid_matching(m.solution, inst, opt, "streaming-arrival");
-      EXPECT_TRUE(
-          m.solution.maximal_in(EdgeList::union_of(m.summaries)))
-          << inst.name;
-
-      Rng c_rng(seed);
-      const VcProtocolResult c =
-          coreset_vc_protocol(inst.edges, kMachines, c_rng, &pool, arrival);
-      expect_feasible_cover(c.solution, inst, opt, "streaming-arrival-vc");
     }
   }
 }

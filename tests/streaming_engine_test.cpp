@@ -2,22 +2,22 @@
 // (distributed/protocol_engine.hpp), the one coordinator fold every driver
 // runs:
 //
-//   * canonical order is seed-for-seed reproducible: a run equals the
-//     compose_* reference over its own retained summaries with the caller's
-//     rng replayed through partition + k forks (matching, VC, weighted
-//     matching), pooled runs equal sequential ones for every completion-queue
-//     capacity, and golden pins freeze the grouped, weighted and multi-round
+//   * machine-id absorb order is seed-for-seed reproducible: a run equals
+//     the compose_* reference over its own retained summaries with the
+//     caller's rng replayed through partition + k forks (matching, VC,
+//     weighted matching) for every pool size, pooled runs equal sequential
+//     ones, and golden pins freeze the grouped, weighted and multi-round
 //     MPC entry points (solution hash, comm words, memory peak, rounds, and
 //     the caller's next rng draw),
-//   * arrival-order streaming keeps the protocol invariants (validity /
-//     feasibility) even though the absorb order follows thread completion,
 //   * the overlap telemetry reports what the path exists to create: the
-//     coordinator absorbing summaries while machines are still building,
-//   * the engine flags round-trip strictly, and --engine-streaming is an
-//     unknown flag (every driver streams).
+//     coordinator absorbing summaries before the last one is received,
+//   * the engine flags round-trip strictly, and the streaming toggle, absorb
+//     order and queue capacity are unknown flags (every driver streams, in
+//     one order, through one slot per machine).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "coreset/matching_coresets.hpp"
@@ -45,6 +45,9 @@ std::vector<Edge> sorted_edges(const Matching& m) {
 }
 
 constexpr std::size_t kMachines = 5;
+
+/// Pool sizes the reproducibility tests sweep; 0 runs without a pool.
+constexpr std::size_t kPoolSizes[] = {0, 1, 2, 4, 8};
 
 /// The caller's rng as the engine hands it to the coordinator's finish: the
 /// sharded partition's draws, then one fork per machine.
@@ -74,18 +77,18 @@ TEST(StreamingEngine, CanonicalMatchingEqualsComposeOverItsSummaries) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     Rng gen(seed);
     const EdgeList el = gnp(400, 5.0 / 400, gen);
-    for (const bool pooled : {false, true}) {
-      ThreadPool pool(4);
+    for (const std::size_t threads : kPoolSizes) {
+      ThreadPool pool(std::max<std::size_t>(threads, 1));
       Rng rng(seed);
       const MatchingProtocolResult r =
           run_matching_protocol(el, kMachines, coreset, ComposeSolver::kMaximum,
-                                0, rng, pooled ? &pool : nullptr);
+                                0, rng, threads > 0 ? &pool : nullptr);
       Rng reference_rng = coordinator_rng(el, kMachines, seed);
       const Matching reference = compose_matching_coresets(
           r.summaries, ComposeSolver::kMaximum, 0, reference_rng);
 
       EXPECT_EQ(sorted_edges(r.solution), sorted_edges(reference))
-          << "seed=" << seed << " pooled=" << pooled;
+          << "seed=" << seed << " threads=" << threads;
       std::uint64_t words = 0;
       for (const EdgeList& s : r.summaries) words += 2 * s.num_edges();
       EXPECT_EQ(r.comm.total_words(), words);
@@ -101,17 +104,17 @@ TEST(StreamingEngine, CanonicalVcEqualsComposeOverItsSummaries) {
   for (std::uint64_t seed : {4u, 5u}) {
     Rng gen(seed);
     const EdgeList el = gnp(300, 6.0 / 300, gen);
-    for (const bool pooled : {false, true}) {
-      ThreadPool pool(4);
+    for (const std::size_t threads : kPoolSizes) {
+      ThreadPool pool(std::max<std::size_t>(threads, 1));
       Rng rng(seed);
       const VcProtocolResult r = run_vc_protocol(el, kMachines, coreset, rng,
-                                                 pooled ? &pool : nullptr);
+                                                 threads > 0 ? &pool : nullptr);
       Rng reference_rng = coordinator_rng(el, kMachines, seed);
       const VertexCover reference =
           compose_vc_coresets(r.summaries, el.num_vertices(), reference_rng);
 
       EXPECT_EQ(r.solution.vertices(), reference.vertices())
-          << "seed=" << seed << " pooled=" << pooled;
+          << "seed=" << seed << " threads=" << threads;
       EXPECT_EQ(rng.next_u64(), reference_rng.next_u64());
     }
   }
@@ -155,7 +158,6 @@ TEST(StreamingEngine, EdcsCombinerPooledMatchesSequentialSeedForSeed) {
   }
   for (const Regime& regime : regimes) {
     for (std::uint64_t seed : {7u, 22u}) {
-      ThreadPool pool(4);
       MpcEngineConfig config;
       config.mpc.num_machines = 4;
       config.mpc.memory_words = std::uint64_t{1} << 40;
@@ -164,112 +166,32 @@ TEST(StreamingEngine, EdcsCombinerPooledMatchesSequentialSeedForSeed) {
       Rng seq_rng(seed);
       const EdcsMpcResult seq = run_matching_rounds_edcs(
           regime.edges, config, regime.edcs, 0, seq_rng);
-      Rng par_rng(seed);
-      const EdcsMpcResult par = run_matching_rounds_edcs(
-          regime.edges, config, regime.edcs, 0, par_rng, &pool);
+      const std::uint64_t seq_next = seq_rng.next_u64();
+      for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        ThreadPool pool(threads);
+        Rng par_rng(seed);
+        const EdcsMpcResult par = run_matching_rounds_edcs(
+            regime.edges, config, regime.edcs, 0, par_rng, &pool);
 
-      EXPECT_EQ(sorted_edges(seq.matching), sorted_edges(par.matching))
-          << "seed=" << seed << " beta=" << regime.edcs.edcs.beta;
-      EXPECT_EQ(seq.cover.vertices(), par.cover.vertices());
-      EXPECT_EQ(seq.stats.total_comm_words, par.stats.total_comm_words);
-      EXPECT_EQ(seq.stats.engine_rounds, par.stats.engine_rounds);
-      EXPECT_EQ(seq.max_memory_words, par.max_memory_words);
-      EXPECT_EQ(seq.stats.round_peak_words, par.stats.round_peak_words);
-      EXPECT_EQ(seq.certified, par.certified);
-      // Same coordinator RNG stream position on exit.
-      EXPECT_EQ(seq_rng.next_u64(), par_rng.next_u64());
-    }
-  }
-}
-
-TEST(StreamingEngine, ArrivalOrderEdcsKeepsInvariantsAcrossThreadCounts) {
-  // Arrival-order absorbs union the same summaries in a thread-dependent
-  // order; the exact union solve makes the matching SIZE order-independent
-  // even though the edge set may differ, and validity/certification must
-  // hold regardless.
-  for (std::uint64_t seed : {23u, 24u}) {
-    Rng gen(seed);
-    const EdgeList el = gnp(300, 5.0 / 300, gen);
-    MpcEngineConfig canonical_config;
-    canonical_config.mpc.num_machines = 4;
-    canonical_config.mpc.memory_words = std::uint64_t{1} << 40;
-    canonical_config.max_rounds = 32;
-    EdcsRoundsConfig edcs;
-    Rng canonical_rng(seed);
-    const EdcsMpcResult canonical = run_matching_rounds_edcs(
-        el, canonical_config, edcs, 0, canonical_rng);
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      ThreadPool pool(threads);
-      MpcEngineConfig config = canonical_config;
-      config.streaming.order = StreamingOrder::kArrival;
-      Rng rng(seed);
-      const EdcsMpcResult r =
-          run_matching_rounds_edcs(el, config, edcs, 0, rng, &pool);
-      EXPECT_TRUE(r.matching.valid()) << "threads=" << threads;
-      EXPECT_TRUE(r.matching.subset_of(el)) << "threads=" << threads;
-      EXPECT_EQ(r.matching.size(), canonical.matching.size())
-          << "threads=" << threads;
-      EXPECT_TRUE(r.certified) << "threads=" << threads;
-      EXPECT_TRUE(r.matching.maximal_in(el)) << "threads=" << threads;
-      EXPECT_EQ(r.stats.total_comm_words, canonical.stats.total_comm_words)
-          << "threads=" << threads;
-    }
-  }
-}
-
-TEST(StreamingEngine, BoundedQueueCapacitiesPreserveCanonicalEquality) {
-  // The completion queue's capacity only changes scheduling backpressure,
-  // never the absorb order or the outcome.
-  const MaximumMatchingCoreset coreset;
-  Rng gen(10);
-  const EdgeList el = gnp(500, 0.02, gen);
-  Rng reference_rng(10);
-  const MatchingProtocolResult reference = run_matching_protocol(
-      el, kMachines, coreset, ComposeSolver::kMaximum, 0, reference_rng);
-  for (const std::size_t capacity : {1u, 2u, 4u, 0u /* = k */}) {
-    ThreadPool pool(4);
-    StreamingOptions opts;
-    opts.queue_capacity = capacity;
-    Rng rng(10);
-    const MatchingProtocolResult streamed = run_matching_protocol(
-        el, kMachines, coreset, ComposeSolver::kMaximum, 0, rng, &pool, opts);
-    EXPECT_EQ(sorted_edges(reference.solution), sorted_edges(streamed.solution))
-        << "capacity=" << capacity;
-    EXPECT_EQ(reference.comm.total_words(), streamed.comm.total_words());
-  }
-}
-
-TEST(StreamingEngine, ArrivalOrderKeepsInvariantsAcrossThreadCounts) {
-  StreamingOptions arrival;
-  arrival.order = StreamingOrder::kArrival;
-  const MaximumMatchingCoreset matching_coreset;
-  const PeelingVcCoreset vc_coreset;
-  for (std::uint64_t seed : {11u, 12u}) {
-    Rng gen(seed);
-    const EdgeList el = gnp(300, 5.0 / 300, gen);
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      ThreadPool pool(threads);
-      Rng m_rng(seed);
-      const MatchingProtocolResult m = run_matching_protocol(
-          el, kMachines, matching_coreset, ComposeSolver::kMaximum, 0, m_rng,
-          &pool, arrival);
-      EXPECT_TRUE(m.solution.valid());
-      EXPECT_TRUE(m.solution.subset_of(el));
-      EXPECT_TRUE(
-          m.solution.maximal_in(EdgeList::union_of(m.summaries)))
-          << "threads=" << threads;
-
-      Rng c_rng(seed);
-      const VcProtocolResult c = run_vc_protocol(el, kMachines, vc_coreset,
-                                                 c_rng, &pool, arrival);
-      EXPECT_TRUE(c.solution.covers(el)) << "threads=" << threads;
+        EXPECT_EQ(sorted_edges(seq.matching), sorted_edges(par.matching))
+            << "seed=" << seed << " beta=" << regime.edcs.edcs.beta
+            << " threads=" << threads;
+        EXPECT_EQ(seq.cover.vertices(), par.cover.vertices());
+        EXPECT_EQ(seq.stats.total_comm_words, par.stats.total_comm_words);
+        EXPECT_EQ(seq.stats.engine_rounds, par.stats.engine_rounds);
+        EXPECT_EQ(seq.max_memory_words, par.max_memory_words);
+        EXPECT_EQ(seq.stats.round_peak_words, par.stats.round_peak_words);
+        EXPECT_EQ(seq.certified, par.certified);
+        // Same coordinator RNG stream position on exit.
+        EXPECT_EQ(seq_next, par_rng.next_u64());
+      }
     }
   }
 }
 
 TEST(StreamingEngine, SequentialRunReportsFullPipeliningTelemetry) {
   // Without a pool, build and absorb alternate machine by machine: every
-  // absorb but the last lands before the machine phase finished (the
+  // absorb but the last lands before the k-th summary is received (the
   // field's definition — interleaving, which a pool turns into wall-clock
   // overlap).
   const MaximumMatchingCoreset coreset;
@@ -304,13 +226,13 @@ TEST(StreamingEngine, FlagsRoundTripIntoStreamingOptions) {
   Options options("streaming_engine_test");
   add_streaming_flags(options);
   add_streaming_flags(options);  // idempotent: double registration is a no-op
-  const char* argv[] = {"test", "--engine-streaming-order=arrival",
-                        "--engine-queue-capacity=3"};
+  const char* argv[] = {"test", "--engine-transport=socket",
+                        "--engine-transport-port=4100"};
   options.parse(3, const_cast<char**>(argv));
   const StreamingOptions opts = streaming_options_from_options(options);
-  EXPECT_EQ(opts.order, StreamingOrder::kArrival);
-  EXPECT_EQ(opts.queue_capacity, 3u);
-  EXPECT_EQ(opts.transport, EngineTransport::kInproc);  // the default
+  EXPECT_EQ(opts.transport, EngineTransport::kSocket);
+  EXPECT_EQ(opts.socket.leader_port, 4100);
+  EXPECT_EQ(opts.socket.timeout_ms, 10000);  // the default deadline
 }
 
 TEST(StreamingEngine, ShmTransportFlagsRoundTripIntoStreamingOptions) {
@@ -329,21 +251,19 @@ TEST(StreamingEngine, ShmTransportFlagsRoundTripIntoStreamingOptions) {
 }
 
 TEST(StreamingEngineDeath, StreamingToggleIsAnUnknownFlag) {
-  // Every driver streams, so there is no on/off flag to parse.
-  Options options("streaming_engine_test");
-  add_streaming_flags(options);
-  const char* argv[] = {"test", "--engine-streaming=true"};
-  EXPECT_EXIT(options.parse(2, const_cast<char**>(argv)),
-              ::testing::ExitedWithCode(2), "unknown flag --engine-streaming");
-}
-
-TEST(StreamingEngineDeath, UnknownOrderValueExitsStrictly) {
-  Options options("streaming_engine_test");
-  add_streaming_flags(options);
-  const char* argv[] = {"test", "--engine-streaming-order=sorted"};
-  options.parse(2, const_cast<char**>(argv));
-  EXPECT_EXIT(streaming_options_from_options(options),
-              ::testing::ExitedWithCode(2), "not one of");
+  // Every driver streams, in machine-id order, through one completion slot
+  // per machine: there is no on/off, order or capacity flag to parse.
+  for (const std::string flag :
+       {"streaming=true", "streaming-order=canonical", "queue-capacity=0"}) {
+    Options options("streaming_engine_test");
+    add_streaming_flags(options);
+    const std::string arg = "--engine-" + flag;
+    const char* argv[] = {"test", arg.c_str()};
+    EXPECT_EXIT(options.parse(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2),
+                "unknown flag --engine-" + flag.substr(0, flag.find('=')) +
+                    " ");
+  }
 }
 
 TEST(StreamingEngineDeath, UnknownTransportValueExitsStrictly) {

@@ -157,19 +157,19 @@ TEST(CompletionQueue, SingleThreadedFifo) {
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(queue.pop(), i);
 }
 
-TEST(CompletionQueue, ZeroCapacityIsClampedToOne) {
-  CompletionQueue queue(0);
-  EXPECT_EQ(queue.capacity(), 1u);
-  queue.push(7);
-  EXPECT_EQ(queue.pop(), 7u);
+TEST(CompletionQueueDeathTest, PushIntoAFullQueueAborts) {
+  // One slot per machine: a push past capacity is a caller bug, not a wait.
+  CompletionQueue queue(1);
+  queue.push(0);
+  EXPECT_DEATH(queue.push(1), "RCC_CHECK");
 }
 
 TEST(CompletionQueue, DeliversEveryIdExactlyOnceUnderContention) {
-  // Many producers racing into a queue smaller than the id count: the
-  // bounded ring must lose nothing, duplicate nothing, and unblock every
-  // producer (push backpressure) while a single consumer drains.
+  // Many producers racing into one slot per id, as the engine sizes it:
+  // the ring must lose nothing and duplicate nothing while a single
+  // consumer drains.
   constexpr std::size_t kIds = 512;
-  CompletionQueue queue(3);
+  CompletionQueue queue(kIds);
   ThreadPool pool(8);
   for (std::size_t i = 0; i < kIds; ++i) {
     pool.submit([&queue, i] { queue.push(i); });
@@ -184,7 +184,7 @@ TEST(CompletionQueue, PushHappensBeforePop) {
   // The queue is the publication edge of the streaming engine: a payload
   // written before push must be visible after the matching pop.
   constexpr std::size_t kIds = 256;
-  CompletionQueue queue(8);
+  CompletionQueue queue(kIds);
   ThreadPool pool(4);
   std::vector<std::size_t> payload(kIds, 0);
   for (std::size_t i = 0; i < kIds; ++i) {
