@@ -22,6 +22,21 @@ int main(int argc, char** argv) {
       "exceeds one machine's memory");
   Rng rng(setup.seed);
   const auto n = static_cast<VertexId>(3000 * setup.scale);
+  // The paper sets k = sqrt(n); the round counts are k-independent, but the
+  // peeling coreset needs n/k > 8 log2 n to have any peeling levels, which
+  // at k = sqrt(n) requires n beyond bench scale (~2^16). k = 20 keeps every
+  // algorithm inside its intended regime at this n; below that n (scale
+  // under ~0.6) every VC summary would be its whole piece, so refuse it.
+  constexpr std::size_t kMachines = 20;
+  if (n < 2 || static_cast<double>(n) / kMachines <=
+                   8.0 * std::log2(static_cast<double>(n))) {
+    std::fprintf(stderr,
+                 "usage: bench_mapreduce --scale %.2f gives n=%u and k=%zu, "
+                 "but the peeling coreset needs n/k > 8 log2 n; raise "
+                 "--scale\n",
+                 setup.scale, n, kMachines);
+    return 2;
+  }
   // Dense graph (p = 0.5): m exceeds one machine's memory so filtering must
   // iterate, and the per-piece degrees 2m/(nk) clear the peeling thresholds
   // n/(4k) so the vertex cover coreset actually compresses (m >= n^2/8 is
@@ -29,11 +44,7 @@ int main(int argc, char** argv) {
   const EdgeList el = gnp(n, 0.5, rng);
   const std::size_t opt = maximum_matching_size(el);
   MpcConfig cfg;
-  // The paper sets k = sqrt(n); the round counts are k-independent, but the
-  // peeling coreset needs n/k > 8 log2 n to have any peeling levels, which
-  // at k = sqrt(n) requires n beyond bench scale (~2^16). k = 20 keeps every
-  // algorithm inside its intended regime at this n.
-  cfg.num_machines = 20;
+  cfg.num_machines = kMachines;
   cfg.memory_words = static_cast<std::uint64_t>(
       static_cast<double>(el.num_edges()));  // < 2m: one machine can't hold G
   std::printf("n=%u m=%zu machines=%zu memory=%llu words MM(G)=%zu\n\n", n,

@@ -1,5 +1,6 @@
 #include "distributed/protocol_engine.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -61,6 +62,13 @@ StreamingOptions streaming_options_from_options(const Options& options) {
     std::fprintf(stderr,
                  "flag --engine-transport-timeout-ms: %lld must be > 0\n",
                  static_cast<long long>(timeout));
+    std::exit(2);
+  }
+  if (timeout > INT_MAX) {
+    // Both transports keep their deadlines in an int.
+    std::fprintf(stderr,
+                 "flag --engine-transport-timeout-ms: %lld exceeds %d\n",
+                 static_cast<long long>(timeout), INT_MAX);
     std::exit(2);
   }
   opts.socket.timeout_ms = static_cast<int>(timeout);

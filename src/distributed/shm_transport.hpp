@@ -1,28 +1,26 @@
-// Shared-memory ring transport for the cross-process machine phase.
+// Shared-memory ring transport for the cross-process machine phase: the
+// socket transport's frames without its kernel copy per frame or its fork
+// per machine per round.
 //
-// The socket transport (socket_transport.hpp) proved the cross-process
-// machine phase seed-for-seed identical to the in-process paths, but it
-// pays a serialize-to-kernel copy per frame and a fork per machine per
-// round. This transport removes both taxes on single-host runs:
-//
-//   * frames travel through fixed-capacity SPSC ring buffers living in one
-//     MAP_SHARED | MAP_ANONYMOUS mapping created BEFORE the workers fork,
-//     so a frame is one userspace memcpy in and one out — no socket, no
-//     kernel buffering, no per-frame file descriptors;
-//   * the rings are bidirectional (an uplink and a downlink pair per
-//     machine), which is what makes workers *persistent*: the coordinator
-//     forks k workers once — after partitioning round 0 and forking its
-//     machine RNG streams, so the first round's shard and stream ride the
-//     fork as copy-on-write pages and round 0 ships nothing down — then
-//     ships every later round's piece DOWN through the ring and reads the
-//     summary frame back UP. The multi-round executor stops re-forking
-//     every round; a single engine call is the same pool serving one round.
+//   * frames travel through fixed-capacity SPSC ring buffers in one
+//     MAP_SHARED | MAP_ANONYMOUS mapping created BEFORE the workers fork, so
+//     a frame is one userspace memcpy in and one out — no socket, no kernel
+//     buffering, no per-frame file descriptors;
+//   * each machine has an uplink and a downlink ring, which makes workers
+//     *persistent*: the coordinator forks k workers once, after round 0's
+//     partition and machine RNG streams (round 0's shard and stream ride the
+//     fork as copy-on-write pages, so round 0 ships nothing down), then
+//     ships every later round's piece DOWN the ring and reads the summary
+//     frame back UP. A single engine call is the same pool serving one
+//     round.
 //
 // Frames are byte-identical to the socket transport's (summary_wire.hpp):
-// all ten driver codecs, the validation funnel, and the seed-for-seed
-// differential suite transfer unchanged. The coordinator-side ShmWorkerPool
-// hands back completed frames in ARRIVAL order exactly like FrameCollector,
-// so the engine's CanonicalReorder sits on top unmodified.
+// the six summary codecs and the validation funnel carry over unchanged;
+// the piece and shutdown frames are the ring path's own. Both ends read
+// frames through the one FrameReader (transport_core.hpp) and write them
+// through one bounded ring-write loop. ShmWorkerPool hands back completed
+// frames in ARRIVAL order like FrameCollector, so the engine's
+// CanonicalReorder sits on top unmodified.
 //
 // Ring mechanics: each direction is a single-producer single-consumer byte
 // ring with free-running 32-bit cursors (capacity is a power of two below
@@ -43,9 +41,11 @@
 // failure path.
 #pragma once
 
+#include <errno.h>
+#include <string.h>
 #include <sys/types.h>
+#include <unistd.h>
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "distributed/summary_wire.hpp"
+#include "distributed/transport_core.hpp"
 #include "distributed/worker_step.hpp"
 
 namespace rcc {
@@ -92,24 +93,6 @@ struct Ring {
   std::uint8_t* data = nullptr;
   std::uint32_t capacity = 0;  // power of two, < 2^31
 };
-
-/// Copies what fits (up to `size`) into the ring, publishes, and wakes the
-/// reader; returns the bytes written (0 when the ring is full).
-std::size_t ring_write_some(const Ring& ring, const std::uint8_t* src,
-                            std::size_t size);
-
-/// Copies up to `size` available bytes out of the ring, publishes the freed
-/// space, and wakes the writer; returns the bytes read (0 when empty).
-std::size_t ring_read_some(const Ring& ring, std::uint8_t* dst,
-                           std::size_t size);
-
-/// Bounded futex sleep until `word` changes away from `seen`. Spurious
-/// returns are fine — callers re-check their condition in a loop.
-void futex_wait_for_change(std::atomic<std::uint32_t>* word,
-                           std::uint32_t seen, int timeout_ms);
-
-/// Wakes every futex waiter on `word`.
-void futex_wake_all(std::atomic<std::uint32_t>* word);
 
 }  // namespace shm_detail
 
@@ -165,8 +148,6 @@ class ShmWorkerEndpoint {
   std::size_t machine() const { return machine_; }
 
  private:
-  void write_raw(const std::uint8_t* bytes, std::size_t size);
-
   shm_detail::Ring uplink_;
   shm_detail::Ring downlink_;
   std::atomic<std::uint32_t>* doorbell_;
@@ -192,15 +173,23 @@ class ShmWorkerPool {
   ShmWorkerPool(const ShmWorkerPool&) = delete;
   ShmWorkerPool& operator=(const ShmWorkerPool&) = delete;
 
-  /// Forks one worker per machine; worker i runs body(i, endpoint) in the
-  /// child and _exit(0)s when body returns. Call exactly once.
+  /// Forks one worker per machine through transport_detail::fork_worker;
+  /// worker i runs body(i, endpoint) in the child and _exit(0)s when body
+  /// returns. Call exactly once.
   template <typename Body>
   void spawn(const Body& body) {
-    spawn_impl(
-        [](void* ctx, std::size_t machine, ShmWorkerEndpoint& endpoint) {
-          (*static_cast<const Body*>(ctx))(machine, endpoint);
-        },
-        const_cast<void*>(static_cast<const void*>(&body)));
+    RCC_CHECK(pids_.empty());
+    const pid_t coordinator = ::getpid();
+    for (std::size_t m = 0; m < machines(); ++m) {
+      const pid_t pid = transport_detail::fork_worker(m, [&](std::size_t i) {
+        ShmWorkerEndpoint endpoint(segment_, i, coordinator,
+                                   options_.timeout_ms);
+        body(i, endpoint);
+      });
+      if (pid < 0) shm_fail("fork(machine %zu): %s", m, strerror(errno));
+      pids_.push_back(pid);
+      alive_[m] = 1;
+    }
   }
 
   /// Starts a collection round: the next `machines()` next_ready() calls
@@ -237,38 +226,20 @@ class ShmWorkerPool {
   std::uint64_t piece_bytes() const { return piece_bytes_; }
 
  private:
-  /// Per-machine uplink frame reassembly state. The header lands in a fixed
-  /// array and the payload is read DIRECTLY into the vector that ships as
-  /// the ReadyFrame's payload — the drain path adds no intermediate copy on
-  /// top of the ring's one memcpy out.
-  struct Assembly {
-    std::size_t header_filled = 0;
-    std::array<std::uint8_t, kFrameHeaderBytes> header_bytes{};
-    bool header_parsed = false;
-    FrameHeader header{};
-    std::size_t payload_filled = 0;
-    std::vector<std::uint8_t> payload;
-  };
-
-  using WorkerFn = void (*)(void* ctx, std::size_t machine,
-                            ShmWorkerEndpoint& endpoint);
-  void spawn_impl(WorkerFn fn, void* ctx);
-  void send_bytes(std::size_t machine, const std::uint8_t* bytes,
-                  std::size_t size);
-  /// Drains every uplink ring into its assembly buffer; completed frames
-  /// move to ready_. Returns true when any byte arrived.
-  bool drain_uplinks();
+  /// Drains machine's uplink ring into its FrameReader, which reads the
+  /// payload DIRECTLY into the vector the ReadyFrame ships — no copy on top
+  /// of the ring's one memcpy out; a completed frame moves to ready_.
+  /// Returns true when any byte arrived.
   bool drain_one(std::size_t machine);
-  /// waitpid(WNOHANG) over machines the current round still owes a frame;
+  /// still_alive over machines the current round still owes a frame;
   /// a dead one gets a final drain, then shm_fail naming it.
   void check_for_dead_workers();
-  [[noreturn]] void fail_missing() const;
 
   ShmSegment segment_;
   ShmTransportOptions options_;
   std::vector<pid_t> pids_;
   std::vector<char> alive_;
-  std::vector<Assembly> assembly_;
+  std::vector<FrameReader> readers_;
   std::vector<char> completed_;  // frame landed this round
   std::deque<ReadyFrame> ready_;
   std::uint32_t round_ = 0;

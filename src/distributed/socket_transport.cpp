@@ -1,40 +1,28 @@
 #include "distributed/socket_transport.hpp"
 
 #include <arpa/inet.h>
-#include <errno.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <string.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
-#include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
+#include <cstring>
 
 namespace rcc {
 
+using transport_detail::monotonic_ms;
+
 void transport_fail(const char* fmt, ...) {
-  std::fputs("socket transport: ", stderr);
   va_list args;
   va_start(args, fmt);
-  std::vfprintf(stderr, fmt, args);
-  va_end(args);
-  std::fputc('\n', stderr);
-  std::abort();
+  transport_detail::vfail("socket transport: ", fmt, args);
 }
 
 namespace {
-
-std::int64_t monotonic_ms() {
-  timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000;
-}
 
 sockaddr_in loopback_addr(std::uint16_t port) {
   sockaddr_in addr;
@@ -128,19 +116,6 @@ FrameCollector::~FrameCollector() {
   }
 }
 
-void FrameCollector::fail_missing() const {
-  std::string missing;
-  for (std::size_t i = 0; i < expected_; ++i) {
-    if (seen_machine_[i] == 0) {
-      if (!missing.empty()) missing += ", ";
-      missing += std::to_string(i);
-    }
-  }
-  transport_fail("timed out after %d ms waiting for machine frames; "
-                 "missing machine ids: [%s]",
-                 timeout_ms_, missing.c_str());
-}
-
 void FrameCollector::pump(int deadline_ms_remaining) {
   std::vector<pollfd> fds;
   fds.push_back(pollfd{listener_fd_, POLLIN, 0});
@@ -168,15 +143,14 @@ void FrameCollector::pump(int deadline_ms_remaining) {
         if (errno == ECONNABORTED || errno == EPROTO) break;
         transport_fail("accept(): %s", strerror(errno));
       }
-      Connection conn;
-      conn.fd = fd;
-      connections_.push_back(std::move(conn));
+      connections_.push_back(Connection{fd, FrameReader{}});
       break;  // blocking listener: one accept per POLLIN wake
     }
   }
 
-  // Readable connections: pull bytes, reassemble frames. Bounded to the
-  // connections that were polled — never the one just accepted.
+  // Readable connections: read what has arrived straight into each frame.
+  // Bounded to the connections that were polled — never the one just
+  // accepted.
   std::size_t fd_index = 1;
   for (std::size_t ci = 0; ci < polled_connections; ++ci) {
     Connection& conn = connections_[ci];
@@ -184,79 +158,65 @@ void FrameCollector::pump(int deadline_ms_remaining) {
     const pollfd& pfd = fds[fd_index++];
     if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
 
-    std::uint8_t chunk[64 * 1024];
-    const ssize_t got = ::recv(conn.fd, chunk, sizeof chunk, 0);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      transport_fail("recv(): %s", strerror(errno));
-    }
-    if (got == 0) {
-      // Orderly shutdown. Legal only on a frame boundary (the worker sends
-      // exactly one frame, then closes).
-      const bool mid_header =
-          !conn.header_parsed && !conn.buffer.empty();
-      const bool mid_payload =
-          conn.header_parsed &&
-          conn.buffer.size() <
-              kFrameHeaderBytes + conn.header.payload_bytes;
-      if (mid_header) {
-        transport_fail("a worker closed its connection mid-header "
-                       "(%zu of %zu header bytes)",
-                       conn.buffer.size(), kFrameHeaderBytes);
+    bool closed = false;
+    const auto recv_some = [&](std::uint8_t* dst, std::size_t max) {
+      const ssize_t got = ::recv(conn.fd, dst, max, MSG_DONTWAIT);
+      if (got < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+          errno != EINTR) {
+        transport_fail("recv(): %s", strerror(errno));
       }
-      if (mid_payload) {
+      closed = closed || got == 0;
+      const std::size_t n = got > 0 ? static_cast<std::size_t>(got) : 0;
+      wire_bytes_ += n;
+      return n;
+    };
+    const bool complete = conn.reader.fill(
+        recv_some, [&](const FrameHeader& header) {
+          if (header.machine >= expected_) {
+            transport_fail("frame names machine %u but only %zu machines "
+                           "exist",
+                           header.machine, expected_);
+          }
+          // Claimed at HEADER-parse time, not completion: two concurrent
+          // connections claiming one id must fail on the second header,
+          // naming the duplicate, before either frame reaches the reorder
+          // buffer.
+          if (claimed_machine_[header.machine] != 0) {
+            transport_fail("duplicate frame for machine %u", header.machine);
+          }
+          claimed_machine_[header.machine] = 1;
+        });
+    if (complete) {
+      // The worker sends exactly one frame, then closes: anything already
+      // queued behind the frame is a violation.
+      std::uint8_t stray[256];
+      const std::size_t extra = recv_some(stray, sizeof stray);
+      if (extra > 0) {
+        transport_fail("machine %u sent %zu bytes beyond its declared frame",
+                       conn.reader.header().machine, extra);
+      }
+      seen_machine_[conn.reader.header().machine] = 1;
+      ready_.push_back(conn.reader.take());
+    } else if (closed) {
+      // Orderly shutdown. Legal only on a frame boundary.
+      if (conn.reader.header_parsed()) {
         transport_fail("machine %u closed its connection mid-frame "
                        "(%zu of %llu payload bytes)",
-                       conn.header.machine,
-                       conn.buffer.size() - kFrameHeaderBytes,
+                       conn.reader.header().machine,
+                       conn.reader.payload_filled(),
                        static_cast<unsigned long long>(
-                           conn.header.payload_bytes));
+                           conn.reader.header().payload_bytes));
       }
-      ::close(conn.fd);
-      conn.fd = -1;
+      if (conn.reader.started()) {
+        transport_fail("a worker closed its connection mid-header "
+                       "(%zu of %zu header bytes)",
+                       conn.reader.header_filled(), kFrameHeaderBytes);
+      }
+    } else {
       continue;
     }
-    wire_bytes_ += static_cast<std::uint64_t>(got);
-    conn.buffer.insert(conn.buffer.end(), chunk, chunk + got);
-
-    if (!conn.header_parsed && conn.buffer.size() >= kFrameHeaderBytes) {
-      // decode_frame_header validates magic/version/reserved/shape/cap and
-      // aborts with a wire diagnostic on violation.
-      conn.header = decode_frame_header(conn.buffer.data());
-      conn.header_parsed = true;
-      if (conn.header.machine >= expected_) {
-        transport_fail("frame names machine %u but only %zu machines exist",
-                       conn.header.machine, expected_);
-      }
-      // Claimed at HEADER-parse time, not completion: two concurrent
-      // connections claiming one id must fail on the second header, naming
-      // the duplicate, before either frame reaches the reorder buffer.
-      if (claimed_machine_[conn.header.machine] != 0) {
-        transport_fail("duplicate frame for machine %u", conn.header.machine);
-      }
-      claimed_machine_[conn.header.machine] = 1;
-    }
-    if (conn.header_parsed &&
-        conn.buffer.size() >= kFrameHeaderBytes + conn.header.payload_bytes) {
-      if (conn.buffer.size() > kFrameHeaderBytes + conn.header.payload_bytes) {
-        transport_fail("machine %u sent %zu bytes beyond its declared frame",
-                       conn.header.machine,
-                       conn.buffer.size() -
-                           (kFrameHeaderBytes +
-                            static_cast<std::size_t>(
-                                conn.header.payload_bytes)));
-      }
-      seen_machine_[conn.header.machine] = 1;
-      ReadyFrame frame;
-      frame.header = conn.header;
-      conn.buffer.erase(conn.buffer.begin(),
-                        conn.buffer.begin() + kFrameHeaderBytes);
-      frame.payload = std::move(conn.buffer);
-      ready_.push_back(std::move(frame));
-      ++completed_;
-      ::close(conn.fd);
-      conn.fd = -1;
-    }
+    ::close(conn.fd);
+    conn.fd = -1;
   }
 }
 
@@ -265,7 +225,12 @@ ReadyFrame FrameCollector::next_ready() {
   const std::int64_t deadline = monotonic_ms() + timeout_ms_;
   while (ready_.empty()) {
     const std::int64_t remaining = deadline - monotonic_ms();
-    if (remaining <= 0) fail_missing();
+    if (remaining <= 0) {
+      transport_fail("timed out after %d ms waiting for machine frames; "
+                     "missing machine ids: [%s]",
+                     timeout_ms_,
+                     transport_detail::missing_ids(seen_machine_).c_str());
+    }
     pump(static_cast<int>(remaining));
   }
   ReadyFrame frame = std::move(ready_.front());
@@ -274,52 +239,23 @@ ReadyFrame FrameCollector::next_ready() {
   return frame;
 }
 
-namespace transport_detail {
-
-pid_t fork_worker(std::size_t machine, WorkerFn fn, void* ctx) {
-  // glibc's pthread_atfork handlers leave malloc consistent in the child
-  // even when parent pool threads are mid-allocation; the child must still
-  // _exit (not exit) so it never runs the parent's atexit handlers or
-  // static destructors against the shared copy-on-write state.
-  const pid_t pid = ::fork();
-  if (pid < 0) transport_fail("fork(): %s", strerror(errno));
-  if (pid == 0) {
-    fn(ctx, machine);
-    ::_exit(0);
+void reap_workers(const std::vector<pid_t>& pids) {
+  std::vector<char> alive(pids.size(), 1);
+  int status = 0;
+  const std::optional<std::size_t> machine = transport_detail::reap(
+      pids, alive, /*timeout_ms=*/-1, "socket transport: ", &status);
+  if (!machine) return;
+  if (WIFEXITED(status)) {
+    std::fprintf(stderr,
+                 "socket transport: machine %zu worker exited with status "
+                 "%d\n",
+                 *machine, WEXITSTATUS(status));
+  } else if (WIFSIGNALED(status)) {
+    std::fprintf(stderr,
+                 "socket transport: machine %zu worker died on signal %d\n",
+                 *machine, WTERMSIG(status));
   }
-  return pid;
-}
-
-}  // namespace transport_detail
-
-void reap_workers(const std::vector<pid_t>& pids, bool require_clean) {
-  for (std::size_t i = 0; i < pids.size(); ++i) {
-    int status = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(pids[i], &status, 0);
-    } while (r < 0 && errno == EINTR);
-    if (r < 0) {
-      transport_fail("waitpid(machine %zu): %s", i, strerror(errno));
-    }
-    const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (!clean) {
-      if (WIFEXITED(status)) {
-        std::fprintf(stderr,
-                     "socket transport: machine %zu worker exited with "
-                     "status %d\n",
-                     i, WEXITSTATUS(status));
-      } else if (WIFSIGNALED(status)) {
-        std::fprintf(stderr,
-                     "socket transport: machine %zu worker died on signal "
-                     "%d\n",
-                     i, WTERMSIG(status));
-      }
-      if (require_clean) {
-        transport_fail("machine %zu worker did not exit cleanly", i);
-      }
-    }
-  }
+  transport_fail("machine %zu worker did not exit cleanly", *machine);
 }
 
 }  // namespace rcc

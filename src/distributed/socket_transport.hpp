@@ -11,19 +11,22 @@
 // port it dialed — one coordinator needs no per-role ports.
 //
 // The coordinator side is poll()-driven and fully bounded: FrameCollector
-// accepts connections lazily, reassembles length-prefixed frames as bytes
-// arrive, and hands back completed frames in ARRIVAL order — the engine's
-// canonical reorder buffer (util/completion.hpp) sits on top, exactly as it
-// does over the in-process completion queue, which is what makes the socket
-// path seed-for-seed identical to the in-process path. Every wait carries a
-// deadline: a worker that dies before (or while) sending its frame surfaces
-// as a transport_fail diagnostic naming the missing machine id within
-// timeout_ms, never a hang.
+// accepts connections lazily, reassembles each connection's frame through
+// one FrameReader as bytes arrive, and hands back completed frames in
+// ARRIVAL order — the engine's canonical reorder buffer
+// (util/completion.hpp) sits on top, exactly as it does over the in-process
+// completion queue, which is what makes the socket path seed-for-seed
+// identical to the in-process path. Every wait carries a deadline: a worker
+// that dies before (or while) sending its frame surfaces as a transport_fail
+// diagnostic naming the missing machine id within timeout_ms, never a hang.
 //
 // The worker side both cross-process transports share (FaultPlan and
-// worker_step) lives in worker_step.hpp.
+// worker_step) lives in worker_step.hpp; the frame reader, the fork and the
+// reap in transport_core.hpp.
 #pragma once
 
+#include <errno.h>
+#include <string.h>
 #include <sys/types.h>
 
 #include <cstddef>
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "distributed/summary_wire.hpp"
+#include "distributed/transport_core.hpp"
 
 namespace rcc {
 
@@ -105,13 +109,10 @@ class FrameCollector {
  private:
   struct Connection {
     int fd = -1;
-    bool header_parsed = false;
-    FrameHeader header{};
-    std::vector<std::uint8_t> buffer;  // raw bytes until the frame completes
+    FrameReader reader;
   };
 
   void pump(int deadline_ms_remaining);
-  [[noreturn]] void fail_missing() const;
 
   int listener_fd_;
   std::size_t expected_;
@@ -121,38 +122,26 @@ class FrameCollector {
   std::vector<char> claimed_machine_; // header parsed claiming this id
   std::deque<ReadyFrame> ready_;
   std::size_t delivered_ = 0;
-  std::size_t completed_ = 0;
   std::uint64_t wire_bytes_ = 0;
 };
 
-namespace transport_detail {
-using WorkerFn = void (*)(void* ctx, std::size_t machine);
-/// fork(); the child runs fn(ctx, machine) then _exit(0).
-pid_t fork_worker(std::size_t machine, WorkerFn fn, void* ctx);
-}  // namespace transport_detail
-
-/// Forks one worker per machine; worker i runs body(i) and _exit(0)s (no
-/// atexit handlers, no static destructors — the child shares the parent's
-/// address space copy-on-write and must not tear it down). Returns the k
-/// child pids for reap_workers.
+/// Forks one worker per machine through transport_detail::fork_worker;
+/// worker i runs body(i) and _exit(0)s. Returns the k child pids for
+/// reap_workers.
 template <typename Body>
 std::vector<pid_t> spawn_workers(std::size_t k, const Body& body) {
   std::vector<pid_t> pids;
   pids.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    pids.push_back(transport_detail::fork_worker(
-        i,
-        [](void* ctx, std::size_t m) { (*static_cast<const Body*>(ctx))(m); },
-        const_cast<void*>(static_cast<const void*>(&body))));
+    const pid_t pid = transport_detail::fork_worker(i, body);
+    if (pid < 0) transport_fail("fork(): %s", strerror(errno));
+    pids.push_back(pid);
   }
   return pids;
 }
 
-/// Reaps every worker. Workers that exited nonzero or died on a signal are
-/// reported (stderr) but do not abort the run when `require_clean` is false
-/// — by the time the collector has all k frames the round's data is safe,
-/// and a worker that died AFTER sending already made the round fail through
-/// the collector if its frame was short.
-void reap_workers(const std::vector<pid_t>& pids, bool require_clean = true);
+/// Reaps every worker with no deadline. A worker that exited nonzero or
+/// died on a signal is reported (stderr) and fails the run, naming it.
+void reap_workers(const std::vector<pid_t>& pids);
 
 }  // namespace rcc

@@ -137,7 +137,7 @@ class WireReader {
 template <typename T>
 struct SummaryCodec;  // specialized per summary shape below
 
-/// A summary type the socket transport can carry.
+/// A summary type both cross-process transports (socket and shm) can carry.
 template <typename T>
 concept WireSerializable =
     requires(const T& value, WireWriter& writer, WireReader& reader) {

@@ -780,6 +780,66 @@ TEST(DistributedTransportDeathTest, ShmIgnoredShutdownIsKilledAndNamed) {
       "1500 ms; killed");
 }
 
+TEST(DistributedTransport, ShmPoolThatNeverSpawnedDestructsQuietly) {
+  // The destructor's reap covers the pids a pool has, not the machines it
+  // was sized for: a pool abandoned before spawn() has no worker to kill.
+  ShmWorkerPool pool(3, ShmTransportOptions{});
+  EXPECT_EQ(pool.machines(), 3u);
+}
+
+TEST(DistributedTransportDeathTest, ShmBytesBeyondTheFrameDieNamingMachine) {
+  // Machine 0 writes its frame plus one stray byte; machine 1 stays silent,
+  // so the round's second wait keeps draining machine 0's ring and must
+  // catch the stray byte long before the deadline.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ShmTransportOptions opts;
+        opts.timeout_ms = 5000;
+        ShmWorkerPool pool(2, opts);
+        // Read before the fork: the coordinator may already be dead by the
+        // time a worker could ask, and the worker must still exit then.
+        const pid_t coordinator = ::getpid();
+        pool.spawn([&](std::size_t machine, ShmWorkerEndpoint& endpoint) {
+          if (machine == 0) {
+            EdgeList el(4);
+            el.add(0, 1);
+            const std::vector<std::uint8_t> frame = encode_frame(el, 0);
+            const std::uint8_t stray = 0;
+            endpoint.write_frame(frame.data(), frame.size(), &stray, 1);
+          }
+          while (::getppid() == coordinator) ::usleep(20 * 1000);
+          ::_exit(0);
+        });
+        pool.begin_round();
+        (void)pool.next_ready();
+        (void)pool.next_ready();
+      },
+      "shm transport: machine 0 sent 1 bytes beyond its round-0 frame");
+}
+
+TEST(DistributedTransportDeathTest, ShmForeignMachineHeaderDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ShmTransportOptions opts;
+        opts.timeout_ms = 5000;
+        ShmWorkerPool pool(1, opts);
+        const pid_t coordinator = ::getpid();
+        pool.spawn([&](std::size_t, ShmWorkerEndpoint& endpoint) {
+          EdgeList el(4);
+          el.add(0, 1);
+          const std::vector<std::uint8_t> frame = encode_frame(el, 1);
+          endpoint.write_frame(frame.data(), frame.size(), nullptr, 0);
+          while (::getppid() == coordinator) ::usleep(20 * 1000);
+          ::_exit(0);
+        });
+        pool.begin_round();
+        (void)pool.next_ready();
+      },
+      "shm transport: frame on machine 0's ring names machine 1");
+}
+
 TEST(DistributedTransportDeathTest, ShmSilentWorkersTimeOutListingMachines) {
   // Live-but-silent workers (no frame, no exit) are the one condition the
   // dead-worker sweep cannot classify: the round deadline fires and lists

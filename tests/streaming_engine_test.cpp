@@ -287,6 +287,19 @@ TEST(StreamingEngineDeath, UndersizedShmRingExitsStrictly) {
               "flag --engine-shm-ring-bytes: 32 must be in \\[64, 2\\^30\\]");
 }
 
+TEST(StreamingEngineDeath, OverflowingTransportTimeoutExitsStrictly) {
+  // Above INT_MAX the deadline would wrap negative in the transports' int
+  // and every socket/shm run would time out at once.
+  Options options("streaming_engine_test");
+  add_streaming_flags(options);
+  const char* argv[] = {"test", "--engine-transport-timeout-ms=3000000000"};
+  options.parse(2, const_cast<char**>(argv));
+  EXPECT_EXIT(streaming_options_from_options(options),
+              ::testing::ExitedWithCode(2),
+              "flag --engine-transport-timeout-ms: 3000000000 exceeds "
+              "2147483647");
+}
+
 // ---------------------------------------------------------------------------
 // Golden pins of the entry points whose coordinator fold is the canonical
 // streaming fold: two seeds each, run sequentially and on a pool. A pin
