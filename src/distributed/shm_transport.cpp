@@ -242,6 +242,9 @@ void ShmWorkerEndpoint::write_frame(const std::uint8_t* prefix,
                                     std::size_t prefix_bytes,
                                     const std::uint8_t* body,
                                     std::size_t body_bytes) {
+  // Stall diagnostics count bytes of the whole frame, not of the current run.
+  const std::size_t frame_bytes = prefix_bytes + body_bytes;
+  std::size_t before = 0;
   for (const auto& [bytes, size] :
        {std::pair{prefix, prefix_bytes}, std::pair{body, body_bytes}}) {
     ring_write_all(
@@ -258,9 +261,10 @@ void ShmWorkerEndpoint::write_frame(const std::uint8_t* prefix,
           if (expired) {
             shm_fail("machine %zu: uplink ring full for %d ms "
                      "(%zu of %zu frame bytes sent)",
-                     machine_, timeout_ms_, sent, size);
+                     machine_, timeout_ms_, before + sent, frame_bytes);
           }
         });
+    before += size;
   }
 }
 
@@ -302,6 +306,9 @@ void ShmWorkerPool::send_frame(std::size_t machine, const std::uint8_t* prefix,
                                const std::uint8_t* body,
                                std::size_t body_bytes) {
   RCC_CHECK(machine < machines());
+  // Stall diagnostics count bytes of the whole frame, not of the current run.
+  const std::size_t frame_bytes = prefix_bytes + body_bytes;
+  std::size_t before = 0;
   for (const auto& [bytes, size] :
        {std::pair{prefix, prefix_bytes}, std::pair{body, body_bytes}}) {
     ring_write_all(
@@ -314,14 +321,16 @@ void ShmWorkerPool::send_frame(std::size_t machine, const std::uint8_t* prefix,
           if (!still_alive(pids_, alive_, machine, kPrefix, nullptr)) {
             shm_fail("machine %zu worker died while its round-%u frame was "
                      "being delivered (%zu of %zu bytes)",
-                     machine, round_, sent, size);
+                     machine, round_, before + sent, frame_bytes);
           }
           if (expired) {
             shm_fail("timed out after %d ms delivering a round-%u frame to "
                      "machine %zu (%zu of %zu bytes)",
-                     options_.timeout_ms, round_, machine, sent, size);
+                     options_.timeout_ms, round_, machine, before + sent,
+                     frame_bytes);
           }
         });
+    before += size;
   }
 }
 

@@ -850,11 +850,13 @@ TEST(DistributedTransportDeathTest, ShmSilentWorkersTimeOutListingMachines) {
         ShmTransportOptions opts;
         opts.timeout_ms = 1500;
         ShmWorkerPool pool(3, opts);
-        pool.spawn([](std::size_t, ShmWorkerEndpoint&) {
+        // Read before the fork: a worker that first asked after the
+        // coordinator died would read 1 and never exit.
+        const pid_t coordinator = ::getpid();
+        pool.spawn([&](std::size_t, ShmWorkerEndpoint&) {
           // Stay alive without ever writing; exit once the aborted
           // coordinator is gone so the death-test child leaks no processes.
-          const pid_t parent = ::getppid();
-          while (::getppid() == parent) ::usleep(20 * 1000);
+          while (::getppid() == coordinator) ::usleep(20 * 1000);
           ::_exit(0);
         });
         pool.begin_round();
@@ -862,6 +864,32 @@ TEST(DistributedTransportDeathTest, ShmSilentWorkersTimeOutListingMachines) {
       },
       "shm transport: timed out after 1500 ms waiting for round-0 machine "
       "frames; missing machine ids: \\[0, 1, 2\\]");
+}
+
+TEST(DistributedTransportDeathTest, ShmDeliveryStallCountsWholeFrameBytes) {
+  // A 64-byte downlink and a worker that never reads it: the 16-byte prefix
+  // lands, 48 body bytes follow, then the ring stays full. The diagnostic
+  // counts bytes of the whole frame (prefix + body), not of the body run.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ShmTransportOptions opts;
+        opts.timeout_ms = 300;
+        opts.ring_bytes = 64;
+        ShmWorkerPool pool(1, opts);
+        const pid_t coordinator = ::getpid();
+        pool.spawn([&](std::size_t, ShmWorkerEndpoint&) {
+          while (::getppid() == coordinator) ::usleep(20 * 1000);
+          ::_exit(0);
+        });
+        pool.begin_round();
+        const std::vector<std::uint8_t> prefix(16, 0x5a);
+        const std::vector<std::uint8_t> body(200, 0xa5);
+        pool.send_frame(0, prefix.data(), prefix.size(), body.data(),
+                        body.size());
+      },
+      "shm transport: timed out after 300 ms delivering a round-0 frame to "
+      "machine 0 \\(64 of 216 bytes\\)");
 }
 
 }  // namespace
